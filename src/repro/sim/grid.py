@@ -13,7 +13,7 @@ This module lifts the kernel's solvers to a leading parameter axis:
 
 * cells are grouped by load (same filtered row set), and the filter,
   CSR columns, capacity checks, stripe expansion, per-disk stable sort,
-  and ``VectorService`` plans are computed once per group;
+  and each member's prepared service plan are computed once per group;
 * the link chain and the per-disk Lindley recurrences run as one
   ``(P, n)`` row-wise broadcast
   (:func:`~repro.sim.kernel._solve_link_chain_grid` /
@@ -49,25 +49,27 @@ import numpy as np
 
 from ..config import ReplayConfig
 from ..core.timescale import TimeScaler
-from ..errors import ReplayError, StorageIOError
+from ..errors import ReplayError
 from ..power.analyzer import PowerAnalyzer
 from ..storage.array import DiskArray
-from ..storage.base import QueuedDevice, StorageDevice
+from ..storage.base import QueuedDevice, ServicePlan, StorageDevice
 from ..trace.packed import PackedTrace
 from ..units import SECTOR_BYTES
 from .kernel import (
     KernelOutcome,
     _Computed,
     _Fallback,
-    _MAX_RMW_PASSES,
     _NEG_INF,
     _columns,
     _expand_subios,
     _frame_series,
+    _member_rows,
     _perf_series,
     _power_windows,
+    _prepare,
     _qualify_device,
     _solve_lindley_grid,
+    _solve_two_phase,
     _solve_link_chain_grid,
     _tick_boundaries,
 )
@@ -193,19 +195,24 @@ def _noop() -> None:
     return None
 
 
+def _shared_plan(
+    member: QueuedDevice, rows: np.ndarray, sp: ServicePlan
+) -> "_MemberPlan":
+    """``member``'s plan-order service, shared by every cell of a group."""
+    svc = sp.full(np.arange(rows.size))
+    return _MemberPlan(
+        rows, svc.seconds, svc.watts, member.timeline._base_watts[0]
+    )
+
+
 @dataclass
 class _MemberPlan:
-    """One member disk's shared (time-independent) service plan.
-
-    ``seconds``/``watts`` are ``None`` on the RAID-5 RMW path: there the
-    serving order (hence the seek/stream-dependent service plan) varies
-    per cell, so plans are derived per arrival-order class inside
-    :func:`_solve_array_chunk_rmw` instead of once per group.
-    """
+    """One member disk's shared (time-independent) service plan on the
+    single-phase path, where every cell serves in plan order."""
 
     rows: np.ndarray  # sub-I/O indices served by this disk, plan order
-    seconds: Optional[np.ndarray]
-    watts: Optional[np.ndarray]
+    seconds: np.ndarray
+    watts: np.ndarray
     base_watts: float
 
 
@@ -216,24 +223,23 @@ class _MemberBatch:
 
     Columns are in the member's *serving* (arrival) order.  On the
     read/single-phase path that order is shared by every cell, so one
-    ``watts`` row serves the whole chunk; on the RMW path each cell may
-    serve in a different order and ``watts2d`` carries per-cell rows.
+    ``(k,)`` ``watts`` row serves the whole chunk; on the RMW path each
+    cell may serve in a different order and ``watts`` is ``(P, k)``.
     """
 
     starts2d: np.ndarray  # (P, k) segment starts, serving order
     fin2d: np.ndarray  # (P, k) segment ends
-    watts: np.ndarray  # (k,) shared across cells (empty when per-cell)
+    watts: np.ndarray  # (k,) shared across cells, or (P, k) per cell
     cum2d: np.ndarray  # (P, k + 1) seeded excess prefix sums
     base_watts: float
     submit2d: np.ndarray  # (P, k) member arrival instants
-    watts2d: Optional[np.ndarray] = None  # (P, k) per-cell Watts rows
 
     @property
     def served(self) -> bool:
         return self.fin2d.size > 0
 
     def cell_watts(self, i: int) -> np.ndarray:
-        return self.watts2d[i] if self.watts2d is not None else self.watts
+        return self.watts if self.watts.ndim == 1 else self.watts[i]
 
 
 def evaluate_grid_cells(
@@ -357,60 +363,27 @@ def _evaluate_group(
             exp = _expand_subios(geom, sectors, nbytes, ops)
             total = exp.total
             rmw = exp.has_pre
-            order = np.argsort(exp.disk, kind="stable")
-            disk_sorted = exp.disk[order]
-            cuts = np.searchsorted(
-                disk_sorted, np.arange(len(members) + 1, dtype=np.int64)
-            )
-            for di, disk in enumerate(members):
-                lo, hi = int(cuts[di]), int(cuts[di + 1])
-                if lo == hi:
-                    plans.append(None)
-                    continue
-                rows = order[lo:hi]
-                sub_end = exp.sector[rows] + -(
-                    -exp.nbytes[rows] // SECTOR_BYTES
-                )
-                if int(sub_end.max()) > disk.capacity_sectors:
-                    raise _Fallback(f"{disk.name}: request beyond capacity")
+            rows = _member_rows(exp, len(members))
+            service: List[Optional[ServicePlan]] = []
+            for disk, r in zip(members, rows):
+                sp = None
+                if r.size:
+                    sp = _prepare(disk, exp.sector[r], exp.nbytes[r], exp.op[r])
+                    if int(sp.end_sectors.max()) > disk.capacity_sectors:
+                        raise _Fallback(f"{disk.name}: request beyond capacity")
+                # On the RMW path the serving order — and with it the
+                # seek/stream-dependent service seconds — varies per
+                # cell: the chunk solver evaluates the plans per order.
                 if rmw:
-                    # Serving order — and with it the seek/stream-
-                    # dependent service plan — varies per cell on the
-                    # RMW path; plans are built per arrival-order class
-                    # in the chunk solver.
-                    plans.append(
-                        _MemberPlan(
-                            rows, None, None, disk.timeline._base_watts[0]
-                        )
-                    )
-                    continue
-                try:
-                    svc = disk.service_times(
-                        exp.sector[rows], exp.nbytes[rows], exp.op[rows]
-                    )
-                except StorageIOError as exc:
-                    raise _Fallback(str(exc))
-                plans.append(
-                    _MemberPlan(
-                        rows, svc.seconds, svc.watts,
-                        disk.timeline._base_watts[0],
-                    )
-                )
+                    service.append(sp)
+                else:
+                    plans.append(None if sp is None else _shared_plan(disk, r, sp))
         else:
-            try:
-                svc = device.service_times(sectors, nbytes, ops)  # type: ignore[union-attr]
-            except StorageIOError as exc:
-                raise _Fallback(str(exc))
-            end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-            if int(end_sectors.max()) > device.capacity_sectors:
+            sp = _prepare(device, sectors, nbytes, ops)  # type: ignore[arg-type]
+            if int(sp.end_sectors.max()) > device.capacity_sectors:
                 raise _Fallback(f"{device.name}: request beyond capacity")
-            plans.append(
-                _MemberPlan(
-                    np.arange(nbytes.size, dtype=np.int64),
-                    svc.seconds, svc.watts,
-                    device.timeline._base_watts[0],  # type: ignore[union-attr]
-                )
-            )
+            rows_all = np.arange(nbytes.size)
+            plans.append(_shared_plan(device, rows_all, sp))  # type: ignore[arg-type]
     except _Fallback as exc:
         refuse(exc.reason)
         return
@@ -466,8 +439,8 @@ def _evaluate_group(
 
         if is_array and rmw:
             solved = _solve_array_chunk_rmw(
-                device, members, plans, submit2d, link_overhead, link_prev,
-                payload, exp, nbytes, cell_reason,
+                device, members, rows, service, submit2d, link_overhead,
+                link_prev, payload, exp, nbytes, cell_reason,
             )
         elif is_array:
             solved = _solve_array_chunk(
@@ -619,21 +592,23 @@ def _cell_capture(
     )
 
 
-def _lindley_batch(
-    member_name: str,
+def _member_batch(
+    member: QueuedDevice,
     arrivals2d: np.ndarray,
-    plan: _MemberPlan,
+    fin2d: np.ndarray,
+    watts: np.ndarray,
     cell_reason: List[Optional[str]],
 ) -> _MemberBatch:
-    """Solve one member's FCFS batch and freeze its power columns.
+    """Freeze one member's solved FCFS batch into power columns.
 
+    ``arrivals2d``/``fin2d`` are ``(P, k)`` in serving order; ``watts``
+    is ``(k,)`` when every cell serves in one order, else ``(P, k)``.
     Marks cells whose schedule the closed form cannot commit exactly
     (non-monotone finishes, or zero-length power segments that the real
     timeline would drop, desynchronising the frozen arrays) in
     ``cell_reason`` — first member wins, matching the per-point order.
     """
     n_cells, k = arrivals2d.shape
-    fin2d = _solve_lindley_grid(arrivals2d, plan.seconds)
     if k > 1:
         mono_bad = np.any(np.diff(fin2d, axis=1) < 0, axis=1)
     else:
@@ -648,10 +623,11 @@ def _lindley_batch(
     zero_bad = np.any(dur2d <= 0.0, axis=1)
     for i in range(n_cells):
         if cell_reason[i] is None and bool(mono_bad[i]):
-            cell_reason[i] = f"{member_name}: non-monotone completion schedule"
+            cell_reason[i] = f"{member.name}: non-monotone completion schedule"
         if cell_reason[i] is None and bool(zero_bad[i]):
-            cell_reason[i] = f"{member_name}: zero-length power segment"
-    excess2d = plan.watts * dur2d - plan.base_watts * dur2d
+            cell_reason[i] = f"{member.name}: zero-length power segment"
+    base_watts = member.timeline._base_watts[0]
+    excess2d = watts * dur2d - base_watts * dur2d
     cum2d = np.concatenate(
         (
             np.zeros((n_cells, 1), dtype=np.float64),
@@ -662,10 +638,18 @@ def _lindley_batch(
     return _MemberBatch(
         starts2d=starts2d,
         fin2d=fin2d,
-        watts=plan.watts,
+        watts=watts,
         cum2d=cum2d,
-        base_watts=plan.base_watts,
+        base_watts=base_watts,
         submit2d=arrivals2d,
+    )
+
+
+def _idle_batch(member: QueuedDevice) -> _MemberBatch:
+    """A member that served nothing: empty columns, pure baseline."""
+    return _MemberBatch(
+        _EMPTY, _EMPTY, _EMPTY, _CUM_SEED, member.timeline._base_watts[0],
+        _EMPTY,
     )
 
 
@@ -677,7 +661,10 @@ def _solve_single_chunk(
     cell_reason: List[Optional[str]],
 ):
     """Batch-solve one chunk of cells against a single queued device."""
-    batch = _lindley_batch(device.name, submit2d, plan, cell_reason)
+    batch = _member_batch(
+        device, submit2d, _solve_lindley_grid(submit2d, plan.seconds),
+        plan.watts, cell_reason,
+    )
     if all(r is not None for r in cell_reason):
         return None
     # Single-server FIFO completes in row order; responses and the byte
@@ -718,15 +705,13 @@ def _solve_array_chunk(
     batches: List[_MemberBatch] = []
     for di, plan in enumerate(plans):
         if plan is None:
-            batches.append(
-                _MemberBatch(
-                    _EMPTY, _EMPTY, _EMPTY, _CUM_SEED,
-                    members[di].timeline._base_watts[0], _EMPTY,
-                )
-            )
+            batches.append(_idle_batch(members[di]))
             continue
         a2d = np.ascontiguousarray(arrivals2d[:, plan.rows])
-        batch = _lindley_batch(members[di].name, a2d, plan, cell_reason)
+        batch = _member_batch(
+            members[di], a2d, _solve_lindley_grid(a2d, plan.seconds),
+            plan.watts, cell_reason,
+        )
         sub_fin2d[:, plan.rows] = batch.fin2d
         batches.append(batch)
     if all(r is not None for r in cell_reason):
@@ -772,7 +757,8 @@ def _flight_completions(
 def _solve_array_chunk_rmw(
     device: DiskArray,
     members: List[QueuedDevice],
-    plans: List[Optional[_MemberPlan]],
+    rows: List[np.ndarray],
+    plans: List[Optional[ServicePlan]],
     submit2d: np.ndarray,
     link_overhead: float,
     link_prev: float,
@@ -783,196 +769,43 @@ def _solve_array_chunk_rmw(
 ):
     """Batch-solve a chunk of cells whose expansion carries RMW barriers.
 
-    The two-phase fixpoint of :func:`~repro.sim.kernel._solve_two_phase`
-    lifted to the parameter axis.  Post-write arrival instants feed back
-    into each member's serving order, and the order determines the
-    seek/stream-dependent service plan — so unlike the single-phase
-    path there is no chunk-wide shared ``VectorService``.  Instead, each
-    pass evaluates whole ``(P, k)`` matrices: per-cell serving orders
-    come from one ``argsort``, per-cell service plans from the members'
-    ``service_times_grid`` 2-D mirrors (row-wise bit-identical to
-    ``service_times`` on that row's sequence), and the queue recurrence
-    from :func:`~repro.sim.kernel._solve_lindley_grid` with a per-row
-    service matrix — no per-cell Python loop anywhere in the pass.
-    Convergence is tracked per row (exact float equality of the
-    post-arrival vector); a converged row is a fixpoint of a
-    deterministic map, so re-solving it can never change it — each pass
-    only touches the still-active rows and the chunk's cost decays with
-    convergence.  Rows that fail to converge — or that tie in a way
-    only event sequence numbers could break — are marked in
-    ``cell_reason`` and handed back for per-point replay, while the
-    converged rows stay fused.
+    Runs the kernel's two-phase fixpoint
+    (:func:`~repro.sim.kernel._solve_two_phase`) with one row per cell:
+    the same passes a single replay runs, on ``(P, k)`` matrices.  Rows
+    that fail to converge — or that tie in a way only event sequence
+    numbers could break — are marked in ``cell_reason`` and handed back
+    for per-point replay, while the converged rows stay fused and
+    commit their converged schedules: each member's Watts come from its
+    prepared service plan evaluated on the per-cell serving orders.
     """
-    n_cells = submit2d.shape[0]
-    total = exp.total
-    sub_flight = exp.sub_flight
-    has_pre = exp.pre_counts > 0
-    pre_flights = np.flatnonzero(has_pre)
-    pre_idx = np.flatnonzero(exp.is_pre)
-    pre_seg = np.concatenate(
-        ([0], np.cumsum(exp.pre_counts[pre_flights])[:-1])
-    ).astype(np.int64)
-    post_mask = ~exp.is_pre & has_pre[sub_flight]
-    post_at = sub_flight[post_mask]
-
     d2d, _link2d = _solve_link_chain_grid(
         submit2d, link_overhead, payload, link_prev
     )
-    base_arr2d = d2d[:, sub_flight]
-    post2d = d2d.copy()
-    arrivals2d = base_arr2d.copy()
-    sub_fin2d = np.empty((n_cells, total), dtype=np.float64)
-    # Full-size per-member state, written only for active rows each pass
-    # (frozen rows keep their fixpoint values for assembly below).
-    ord_full: List[Optional[np.ndarray]] = [None] * len(plans)
-    fin_sorted: List[Optional[np.ndarray]] = [None] * len(plans)
-    watts_sorted: List[Optional[np.ndarray]] = [None] * len(plans)
-    for di, plan in enumerate(plans):
-        if plan is None:
-            continue
-        if not hasattr(members[di], "service_times_grid"):
-            reason = f"{members[di].name}: no vectorized grid service model"
-            for i in range(n_cells):
-                if cell_reason[i] is None:
-                    cell_reason[i] = reason
-            return None
-        k = int(plan.rows.size)
-        ord_full[di] = np.empty((n_cells, k), dtype=np.int64)
-        fin_sorted[di] = np.empty((n_cells, k), dtype=np.float64)
-        watts_sorted[di] = np.empty((n_cells, k), dtype=np.float64)
-    converged = np.zeros(n_cells, dtype=bool)
-    act = np.arange(n_cells)
-    for _ in range(_MAX_RMW_PASSES):
-        arr_act = base_arr2d[act].copy()
-        arr_act[:, post_mask] = post2d[np.ix_(act, post_at)]
-        arrivals2d[act] = arr_act
-        for di, plan in enumerate(plans):
-            if plan is None:
-                continue
-            rows = plan.rows
-            a2d = np.ascontiguousarray(arr_act[:, rows])
-            ord2d = np.argsort(a2d, axis=1, kind="stable")
-            ord_full[di][act] = ord2d
-            a_sorted = np.take_along_axis(a2d, ord2d, axis=1)
-            perm2d = rows[ord2d]
-            try:
-                sec2d, w2d = members[di].service_times_grid(
-                    exp.sector[perm2d], exp.nbytes[perm2d], exp.op[perm2d]
-                )
-            except StorageIOError as exc:
-                reason = str(exc)
-                for i in act.tolist():
-                    if cell_reason[i] is None:
-                        cell_reason[i] = reason
-                fin_srt = a_sorted  # placeholder; cells already unfused
-                w2d = np.zeros_like(a_sorted)
-            else:
-                fin_srt = _solve_lindley_grid(a_sorted, sec2d)
-            fin_sorted[di][act] = fin_srt
-            watts_sorted[di][act] = w2d
-            sub_fin2d[act[:, None], perm2d] = fin_srt
-        new_post = d2d[act].copy()
-        new_post[:, pre_flights] = np.maximum.reduceat(
-            sub_fin2d[np.ix_(act, pre_idx)], pre_seg, axis=1
-        )
-        row_done = np.all(new_post == post2d[act], axis=1)
-        post2d[act] = new_post
-        converged[act[row_done]] = True
-        # Unfused rows (service errors) stop iterating too — nothing
-        # downstream reads their values.
-        dead = np.array(
-            [cell_reason[i] is not None for i in act.tolist()], dtype=bool
-        )
-        act = act[~(row_done | dead)]
-        if not act.size:
-            break
-    for i in range(n_cells):
-        if cell_reason[i] is None and not bool(converged[i]):
+    two = _solve_two_phase(exp, rows, plans, d2d)
+    for i in range(submit2d.shape[0]):
+        if cell_reason[i] is None and not bool(two.converged[i]):
             cell_reason[i] = "rmw barrier schedule did not converge"
-
-    # Arrival-tie taxonomy — same rule as the 1-D solver: cross-flight
-    # ties at a member are deterministic only when a completion-issued
-    # post precedes a dispatch-issued sub-I/O.
-    for di, plan in enumerate(plans):
-        if plan is None or plan.rows.size < 2:
-            continue
-        rows = plan.rows
-        ord2d = ord_full[di]
-        a_sorted = np.take_along_axis(
-            np.ascontiguousarray(arrivals2d[:, rows]), ord2d, axis=1
-        )
-        perm2d = rows[ord2d]
-        fl = sub_flight[perm2d]
-        pm = post_mask[perm2d]
-        tied = a_sorted[:, 1:] == a_sorted[:, :-1]
-        cross = fl[:, 1:] != fl[:, :-1]
-        benign = pm[:, :-1] & ~pm[:, 1:]
-        bad = np.any(tied & cross & ~benign, axis=1)
-        for i in np.flatnonzero(bad).tolist():
-            if cell_reason[i] is None:
-                cell_reason[i] = "tied sub-I/O arrival times"
+        if cell_reason[i] is None and bool(two.tied[i]):
+            cell_reason[i] = "tied sub-I/O arrival times"
     if all(r is not None for r in cell_reason):
         return None
 
     batches: List[_MemberBatch] = []
-    for di, plan in enumerate(plans):
-        if plan is None:
-            batches.append(
-                _MemberBatch(
-                    _EMPTY, _EMPTY, _EMPTY, _CUM_SEED,
-                    members[di].timeline._base_watts[0], _EMPTY,
-                )
-            )
+    for member, m in zip(members, two.members):
+        if m is None:
+            batches.append(_idle_batch(member))
             continue
-        rows = plan.rows
-        k = int(rows.size)
-        sub2d = np.take_along_axis(
-            np.ascontiguousarray(arrivals2d[:, rows]), ord_full[di], axis=1
-        )
-        fin2d = fin_sorted[di]
-        watts2d = watts_sorted[di]
-        starts2d = np.maximum(
-            sub2d,
-            np.concatenate(
-                (np.full((n_cells, 1), _NEG_INF), fin2d[:, :-1]), axis=1
-            ),
-        )
-        if k > 1:
-            mono_bad = np.any(np.diff(fin2d, axis=1) < 0, axis=1)
-        else:
-            mono_bad = np.zeros(n_cells, dtype=bool)
-        dur2d = fin2d - starts2d
-        zero_bad = np.any(dur2d <= 0.0, axis=1)
-        name = members[di].name
-        for i in range(n_cells):
-            if cell_reason[i] is None and bool(mono_bad[i]):
-                cell_reason[i] = f"{name}: non-monotone completion schedule"
-            if cell_reason[i] is None and bool(zero_bad[i]):
-                cell_reason[i] = f"{name}: zero-length power segment"
-        excess2d = watts2d * dur2d - plan.base_watts * dur2d
-        cum2d = np.concatenate(
-            (
-                np.zeros((n_cells, 1), dtype=np.float64),
-                np.cumsum(excess2d, axis=1),
-            ),
-            axis=1,
-        )
         batches.append(
-            _MemberBatch(
-                starts2d=starts2d,
-                fin2d=fin2d,
-                watts=_EMPTY,
-                cum2d=cum2d,
-                base_watts=plan.base_watts,
-                submit2d=sub2d,
-                watts2d=watts2d,
+            _member_batch(
+                member, m.arrivals, m.fin, m.plan.full(m.order).watts,
+                cell_reason,
             )
         )
     if all(r is not None for r in cell_reason):
         return None
 
     fin_ev2d, resp_ev2d, bytes_ev2d = _flight_completions(
-        sub_fin2d, exp.flight_offsets, submit2d, nbytes, cell_reason
+        two.sub_fin, exp.flight_offsets, submit2d, nbytes, cell_reason
     )
     return fin_ev2d, resp_ev2d, bytes_ev2d, batches, (
         device.enclosure.non_disk_watts

@@ -16,7 +16,8 @@ CSR arrays:
 * per-device FCFS queue waits via a segmented Lindley recurrence
   (``finish_k = max(submit_k, finish_{k-1}) + service_k``),
 * per-request service times and Watts from each device model's
-  vectorised ``service_times`` mirror,
+  prepared service plan (``prepare_service``), evaluated per serving
+  order,
 * and the sampled outputs — :class:`~repro.replay.monitor.PerfSample`
   series, :class:`~repro.power.analyzer.PowerAnalyzer` windows, latency
   histograms, and :class:`~repro.telemetry.stream.IntervalFrame` series.
@@ -49,7 +50,7 @@ from ..power.analyzer import PowerAnalyzer
 from ..power.states import PowerState
 from ..replay.monitor import PerfSample
 from ..storage.array import DiskArray
-from ..storage.base import QueuedDevice, StorageDevice
+from ..storage.base import QueuedDevice, ServicePlan, StorageDevice
 from ..storage.hdd import HardDiskDrive
 from ..storage.queueing import FIFOQueue
 from ..storage.raid import FlightExpansion, RaidLevel, expand_flights
@@ -67,9 +68,12 @@ _MAX_PASSES = 10
 #: Two-phase RMW barrier fixpoint passes.  Each pass propagates one more
 #: level of the pre-read -> parity-write dependency chain, so congested
 #: write queues need more passes than the segmented refinements above
-#: (a saturated 600-package stripe mix takes ~11); the fixpoint itself
-#: is unique, so the cap only decides fuse-vs-fallback, never the
-#: numbers.
+#: (a 15k-bunch, 40%-write trace on HDD RAID-5 x6 converges in 8-9).
+#: Near saturation the chain grows long: a 3000-bunch 70%-read trace at
+#: load 1.0 x time scale 0.5 converges only after 56-66 passes, so it
+#: runs out of passes and falls back — the schedule does not diverge.
+#: The fixpoint itself is unique, so the cap only decides
+#: fuse-vs-fallback, never the numbers.
 _MAX_RMW_PASSES = 32
 
 #: Sampling-window count cap: beyond this the closed-form window walk
@@ -725,24 +729,36 @@ def _check_timeline_clear(dev: QueuedDevice, first_start: float) -> None:
         raise _Fallback(f"{dev.name}: power timeline extends past replay start")
 
 
-def _serve_fifo(
-    dev: QueuedDevice,
-    submit: np.ndarray,
-    sectors: np.ndarray,
-    nbytes: np.ndarray,
-    ops: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Callable[[], None]]:
-    """Solve one member device's FCFS service sequence.
-
-    Returns ``(fin, starts, push_times, pop_times, commit)``; commit
-    applies the device-model cursor state, queue counters, completion
-    count, head hint, and the power-timeline segments.
-    """
+def _prepare(
+    dev: QueuedDevice, sectors: np.ndarray, nbytes: np.ndarray, ops: np.ndarray
+) -> ServicePlan:
+    """The device's service plan for these rows (refusals fall back)."""
     try:
-        svc = dev.service_times(sectors, nbytes, ops)
+        return dev.prepare_service(sectors, nbytes, ops)
     except StorageIOError as exc:
         raise _Fallback(str(exc))
-    fin = _solve_lindley(submit, svc.seconds)
+
+
+def _serve_fifo(
+    dev: QueuedDevice,
+    plan: ServicePlan,
+    order: np.ndarray,
+    submit: np.ndarray,
+    fin: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[], None]]:
+    """Make one member device's FCFS service sequence commit-ready.
+
+    ``dev`` serves ``plan``'s rows in ``order`` (every row once) at the
+    nondecreasing queue-entry instants ``submit``.  ``fin`` passes
+    finish times already solved for exactly that order (the RMW
+    fixpoint's converged schedule); otherwise the Lindley recurrence
+    solves them here.  Returns ``(fin, push_times, pop_times, commit)``;
+    commit applies the device-model cursor state, queue counters,
+    completion count, head hint, and the power-timeline segments.
+    """
+    svc = plan.full(order)
+    if fin is None:
+        fin = _solve_lindley(submit, svc.seconds)
     if bool(np.any(np.diff(fin) < 0)):
         raise _Fallback(f"{dev.name}: non-monotone completion schedule")
     starts = np.maximum(submit, np.concatenate(([_NEG_INF], fin[:-1])))
@@ -756,10 +772,9 @@ def _serve_fifo(
         high = int((ranks - np.searchsorted(pop, push, side="right")).max())
     n = int(submit.size)
     n_queued = int(push.size)
-    end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-    if int(end_sectors.max()) > dev.capacity_sectors:
+    if int(plan.end_sectors.max()) > dev.capacity_sectors:
         raise _Fallback(f"{dev.name}: request beyond capacity")
-    last_end = int(end_sectors[-1])
+    last_end = int(plan.end_sectors[order[-1]])
     watts = svc.watts
     apply_model = svc.apply_state
 
@@ -773,7 +788,7 @@ def _serve_fifo(
         if high > dev.queued_high_water:
             dev.queued_high_water = high
 
-    return fin, starts, push, pop, commit
+    return fin, push, pop, commit
 
 
 def _compute_single(
@@ -781,8 +796,9 @@ def _compute_single(
 ) -> _Computed:
     submit = _dispatch_times(trace, t0)
     sectors, nbytes, ops = _columns(trace)
-    fin, _starts, push, pop, commit = _serve_fifo(
-        device, submit, sectors, nbytes, ops
+    plan = _prepare(device, sectors, nbytes, ops)
+    fin, push, pop, commit = _serve_fifo(
+        device, plan, np.arange(sectors.size), submit
     )
     # Single-server FIFO completes in row order (finish events are
     # scheduled in serving order, ties resolve by sequence), so the
@@ -813,11 +829,140 @@ def _expand_subios(
     return expand_flights(geom, sectors, nbytes, ops)
 
 
+def _member_rows(exp: FlightExpansion, n_disks: int) -> List[np.ndarray]:
+    """Each member disk's sub-I/O indices in plan order — the member
+    queue's arrival order whenever every sub-I/O arrives at dispatch."""
+    order = np.argsort(exp.disk, kind="stable")
+    cuts = np.searchsorted(
+        exp.disk[order], np.arange(n_disks + 1, dtype=np.int64)
+    )
+    return [order[int(cuts[di]):int(cuts[di + 1])] for di in range(n_disks)]
+
+
+@dataclass
+class _RmwMember:
+    """One member disk's RMW sub-I/Os in member-local index space.
+
+    Local index ``j`` is the member's ``j``-th sub-I/O in plan order
+    (global index ``rows[j]``).  *Fixed* rows — pre reads and the
+    sub-I/Os of flights without a barrier — enter the queue at their
+    flight's dispatch instant; *post* writes enter at their flight's
+    barrier instant, the one quantity the fixpoint iterates.  The
+    ``(P, ·)`` arrays hold one row per cell: the post arrivals last
+    solved and the schedule they produced — serving order (local
+    indices), sorted arrivals, service seconds and finishes.
+    """
+
+    rows: np.ndarray  # (k,) global sub-I/O indices, plan order
+    plan: ServicePlan  # the member's service plan over ``rows``
+    flight: np.ndarray  # (k,) flight of every local row
+    is_post: np.ndarray  # (k,) local post mask
+    fixed: np.ndarray  # local positions arriving at dispatch
+    posts: np.ndarray  # local positions of post writes
+    post_barrier: np.ndarray  # each post's column in the barrier vector
+    pre: np.ndarray  # local positions of pre reads
+    pre_slot: np.ndarray  # their columns in the barrier slot matrix
+    fixed_arr: np.ndarray  # (P, f) dispatch instants of the fixed rows
+    post_seen: np.ndarray  # (P, q)
+    order: np.ndarray  # (P, k)
+    arrivals: np.ndarray  # (P, k)
+    seconds: np.ndarray  # (P, k)
+    fin: np.ndarray  # (P, k)
+
+
+def _merge_posts(
+    fixed_arr: np.ndarray,
+    post_arr: np.ndarray,
+    fixed: np.ndarray,
+    posts: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row serving order and sorted arrivals of one member.
+
+    ``fixed_arr`` ``(R, f)`` and ``post_arr`` ``(R, q)`` are the
+    arrivals of the local rows ``fixed`` and ``posts``.  Returns
+    ``(order, arrivals)``, both ``(R, f + q)``: ``order`` is exactly
+    ``np.argsort(a, kind="stable")`` of each row's local arrival vector
+    ``a``, and ``arrivals`` is ``a`` in that order.
+
+    Fixed arrivals are dispatch instants, nondecreasing in plan order,
+    so only the posts need a real sort; the stable sort of
+    ``[fixed | sorted posts]`` then merges two sorted runs.  Within
+    each part, equal arrivals keep local order, as the full sort keeps
+    them.  Across parts the concatenation puts a fixed row before an
+    equal post, where the full sort goes by local index — so a row with
+    an exact fixed/post tie is re-sorted in full.  Correctness rests on
+    the tie check alone: unsorted fixed arrivals only make the merge
+    sort slower.
+    """
+    n_rows, f = fixed_arr.shape
+    po = np.argsort(post_arr, axis=1, kind="stable")
+    both = np.concatenate((fixed_arr, _take_rows(post_arr, po)), axis=1)
+    mo = np.argsort(both, axis=1, kind="stable")
+    arrivals = _take_rows(both, mo)
+    local = np.concatenate(
+        (np.broadcast_to(fixed, (n_rows, f)), posts[po]), axis=1
+    )
+    order = _take_rows(local, mo)
+    equal = arrivals[:, 1:] == arrivals[:, :-1]
+    if not equal.any():
+        return order, arrivals
+    row, col = np.nonzero(equal)
+    cross = (mo[row, col] >= f) != (mo[row, col + 1] >= f)
+    for i in np.unique(row[cross]).tolist():
+        a = np.empty(order.shape[1], dtype=np.float64)
+        a[fixed] = fixed_arr[i]
+        a[posts] = post_arr[i]
+        order[i] = np.argsort(a, kind="stable")
+        arrivals[i] = a[order[i]]
+    return order, arrivals
+
+
+def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(a, idx, axis=1)``; a single row takes the
+    flat gather, several times cheaper."""
+    if a.shape[0] == 1:
+        return np.take(a, idx)
+    return np.take_along_axis(a, idx, axis=1)
+
+
+def _put_rows(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """``np.put_along_axis(out, idx, values, axis=1)``, flat for one row."""
+    if out.shape[0] == 1:
+        np.put(out, idx, values)
+    else:
+        np.put_along_axis(out, idx, values, axis=1)
+
+
+def _solve_lindley_rows(submit: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """:func:`_solve_lindley_grid`, with a single row going to the 1-D
+    solver (whose sweep evaluates many short busy runs faster)."""
+    if submit.shape[0] == 1:
+        return _solve_lindley(submit[0], sv[0])[None, :]
+    return _solve_lindley_grid(submit, sv)
+
+
+@dataclass
+class _TwoPhase:
+    """The RMW fixpoint of ``P`` rows (cells).
+
+    ``members`` follows the member disks (None where a member serves
+    nothing); for a converged row, each member's ``order``,
+    ``arrivals`` and ``fin`` rows are its schedule, ready to commit.
+    ``sub_fin`` is ``(P, total)`` finishes by global sub-I/O.
+    """
+
+    members: List[Optional[_RmwMember]]
+    converged: np.ndarray  # (P,) bool
+    tied: np.ndarray  # (P,) bool: arrival ties only sequence numbers break
+    sub_fin: np.ndarray
+
+
 def _solve_two_phase(
-    device: DiskArray,
     exp: FlightExpansion,
+    rows: List[np.ndarray],
+    plans: List[Optional[ServicePlan]],
     dispatch: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+) -> _TwoPhase:
     """Solve the per-flight two-phase (RMW) barrier to a verified fixpoint.
 
     The event path issues a flight's ``pre`` reads at its dispatch
@@ -826,110 +971,140 @@ def _solve_two_phase(
     callback).  Post arrivals therefore feed back into the member FIFO
     orders, which determine the order-dependent service times (seek
     chains, write-stream cursors), which determine the pre completion
-    times — a fixpoint.  Iterate it: seed every post arrival at its
-    flight's dispatch, then repeatedly (a) sort each disk's sub-I/Os by
+    times — a fixpoint.  Iterate it: seed every flight's barrier at its
+    dispatch, then repeatedly (a) order each member's sub-I/Os by
     arrival (stable, so plan order breaks ties exactly like the event
     calendar: completion-issued posts carry lower flight indices than
     any dispatch tied with them, and a flight's pre block precedes its
-    post block), (b) recompute that order's service plan and Lindley
+    post block), (b) evaluate that order's service seconds and Lindley
     finishes, (c) reduce each flight's pre block to its barrier instant.
-    Exact float convergence of the arrival vector means the evaluated
+    Exact float convergence of the barrier vector means the evaluated
     schedule is self-consistent, and causality (service times are
     positive, posts issue strictly after their pre reads) makes the
     event engine's schedule the *unique* fixpoint — so the converged
     arrivals are bit-identical to the event path's.
 
-    Returns ``(arrivals, sub_fin, disk_rows)`` with ``arrivals`` the
-    converged per-sub-I/O queue-entry instants, ``sub_fin`` their finish
-    times, and ``disk_rows`` each member's sub-I/O indices in plan
-    order.  Raises :class:`_Fallback` on non-convergence or on arrival
-    ties the event calendar would break by schedule sequence numbers
-    (two RMW barriers releasing at one instant).
+    ``rows``/``plans`` are each member's sub-I/Os in plan order
+    (:func:`_member_rows`) and their service plan (None for members
+    that serve nothing).  ``dispatch`` is ``(P, n)``: one row per grid
+    cell (``P = 1`` for a single replay).  Rows iterate independently,
+    and a converged row is a fixpoint of a deterministic map, so each
+    pass only touches the rows still moving.  Each pass is kept cheap:
+    a member whose post arrivals did not move keeps its schedule; only
+    the posts are re-sorted (:func:`_merge_posts`); a member whose
+    serving order did not change keeps its service seconds; and the
+    order-dependent service terms come from the member's prepared
+    :class:`~repro.storage.base.ServicePlan`.
+
+    ``tied`` flags rows with arrival ties the event calendar would break
+    by schedule sequence numbers (two RMW barriers releasing at one
+    instant); ``converged`` is False for rows still moving after
+    ``_MAX_RMW_PASSES``.  Callers refuse both.
     """
-    total = exp.total
-    sub_flight = exp.sub_flight
+    n_rows = dispatch.shape[0]
     has_pre = exp.pre_counts > 0
-    pre_flights = np.flatnonzero(has_pre)
-    pre_idx = np.flatnonzero(exp.is_pre)
-    pre_seg = np.concatenate(
-        ([0], np.cumsum(exp.pre_counts[pre_flights])[:-1])
-    ).astype(np.int64)
-    post_mask = ~exp.is_pre & has_pre[sub_flight]
-
-    order0 = np.argsort(exp.disk, kind="stable")
-    disk_sorted = exp.disk[order0]
-    cuts = np.searchsorted(
-        disk_sorted, np.arange(len(device.disks) + 1, dtype=np.int64)
-    )
-    disk_rows = [
-        order0[int(cuts[di]):int(cuts[di + 1])]
-        for di in range(len(device.disks))
-    ]
-
-    sub_fin = np.empty(total, dtype=np.float64)
-    base_arr = dispatch[sub_flight]
-    post_at = sub_flight[post_mask]
-    post_arrival = dispatch.copy()
-    arrivals = base_arr
-    # Two exact pass-to-pass shortcuts: a member whose arrival vector is
-    # unchanged serves identically (its finishes are already in
-    # ``sub_fin``), and a member whose serving *order* is unchanged
-    # reuses the previous pass's service plan (service depends only on
-    # the request sequence, never on the clock).
-    svc_memo: List[Optional[tuple]] = [None] * len(device.disks)
-    arr_memo: List[Optional[np.ndarray]] = [None] * len(device.disks)
-    for _ in range(_MAX_RMW_PASSES):
-        arrivals = base_arr.copy()
-        arrivals[post_mask] = post_arrival[post_at]
-        for di, disk in enumerate(device.disks):
-            rows = disk_rows[di]
-            if not rows.size:
-                continue
-            arr_d = arrivals[rows]
-            if arr_memo[di] is not None and np.array_equal(
-                arr_memo[di], arr_d
-            ):
-                continue
-            arr_memo[di] = arr_d
-            perm = rows[np.argsort(arr_d, kind="stable")]
-            memo = svc_memo[di]
-            if memo is not None and np.array_equal(memo[0], perm):
-                svc = memo[1]
-            else:
-                try:
-                    svc = disk.service_times(
-                        exp.sector[perm], exp.nbytes[perm], exp.op[perm]
-                    )
-                except StorageIOError as exc:
-                    raise _Fallback(str(exc))
-                svc_memo[di] = (perm, svc)
-            sub_fin[perm] = _solve_lindley(arrivals[perm], svc.seconds)
-        new_post = dispatch.copy()
-        new_post[pre_flights] = np.maximum.reduceat(
-            sub_fin[pre_idx], pre_seg
+    post_mask = ~exp.is_pre & has_pre[exp.sub_flight]
+    barrier_col = np.cumsum(has_pre) - 1
+    # Each barrier flight's pre-read finishes fill a row of ``width``
+    # slots (a flight's pre block leads its plan), padded with -inf, so
+    # the barrier is a few elementwise maxima over the slot columns.
+    width = int(exp.pre_counts.max())
+    members: List[Optional[_RmwMember]] = []
+    for r, plan in zip(rows, plans):
+        if plan is None:
+            members.append(None)
+            continue
+        flight = exp.sub_flight[r]
+        is_post = post_mask[r]
+        fixed = np.flatnonzero(~is_post)
+        posts = np.flatnonzero(is_post)
+        pre = np.flatnonzero(exp.is_pre[r])
+        pre_flight = flight[pre]
+        shape = (n_rows, r.size)
+        members.append(
+            _RmwMember(
+                rows=r,
+                plan=plan,
+                flight=flight,
+                is_post=is_post,
+                fixed=fixed,
+                posts=posts,
+                post_barrier=barrier_col[flight[posts]],
+                pre=pre,
+                pre_slot=barrier_col[pre_flight] * width
+                + (r[pre] - exp.flight_offsets[pre_flight]),
+                fixed_arr=dispatch[:, flight[fixed]],
+                post_seen=np.empty((n_rows, posts.size)),
+                order=np.full(shape, -1, dtype=np.int64),
+                arrivals=np.empty(shape),
+                seconds=np.empty(shape),
+                fin=np.empty(shape),
+            )
         )
-        if np.array_equal(new_post, post_arrival):
+    live = [m for m in members if m is not None]
+    barrier = dispatch[:, has_pre]
+    pre_fin = np.full((n_rows, barrier.shape[1] * width), _NEG_INF)
+    converged = np.zeros(n_rows, dtype=bool)
+    act = np.arange(n_rows)
+    for pass_no in range(_MAX_RMW_PASSES):
+        for m in live:
+            post_arr = barrier[np.ix_(act, m.post_barrier)]
+            if pass_no:
+                moved = np.any(post_arr != m.post_seen[act], axis=1)
+                sel = act[moved]
+                if not sel.size:
+                    continue
+                post_arr = post_arr[moved]
+            else:
+                sel = act
+            m.post_seen[sel] = post_arr
+            o, a = _merge_posts(m.fixed_arr[sel], post_arr, m.fixed, m.posts)
+            sec = m.seconds[sel]
+            redo = ~np.all(o == m.order[sel], axis=1)
+            if redo.any():
+                sec[redo] = m.plan.seconds(o[redo])
+            f = _solve_lindley_rows(a, sec)
+            m.order[sel] = o
+            m.arrivals[sel] = a
+            m.seconds[sel] = sec
+            m.fin[sel] = f
+            if m.pre.size:
+                by_local = np.empty_like(f)
+                _put_rows(by_local, o, f)
+                pre_fin[np.ix_(sel, m.pre_slot)] = by_local[:, m.pre]
+        slots = pre_fin[act].reshape(act.size, -1, width)
+        new = slots[..., 0].copy()
+        for c in range(1, width):
+            np.maximum(new, slots[..., c], out=new)
+        done = np.all(new == barrier[act], axis=1)
+        barrier[act] = new
+        converged[act[done]] = True
+        act = act[~done]
+        if not act.size:
             break
-        post_arrival = new_post
-    else:
-        raise _Fallback("rmw barrier schedule did not converge")
 
     # Arrival ties the event calendar breaks by sequence number cannot
     # be reproduced: equal instants at one disk are only deterministic
     # within a flight (plan order) or between a completion-issued post
     # and a later flight's dispatch (completions outrank dispatch
     # events) — which stable plan-order sorting already encodes.
-    for rows in disk_rows:
-        if rows.size < 2:
+    tied = np.zeros(n_rows, dtype=bool)
+    sub_fin = np.empty((n_rows, exp.total), dtype=np.float64)
+    every = np.arange(n_rows)[:, None]
+    for m in live:
+        o, a = m.order, m.arrivals
+        sub_fin[every, m.rows[o]] = m.fin
+        if m.rows.size < 2:
             continue
-        arr_d = arrivals[rows]
-        perm = rows[np.argsort(arr_d, kind="stable")]
-        tied = arrivals[perm[1:]] == arrivals[perm[:-1]]
-        cross = sub_flight[perm[1:]] != sub_flight[perm[:-1]]
-        benign = post_mask[perm[:-1]] & ~post_mask[perm[1:]]
-        if bool(np.any(tied & cross & ~benign)):
-            raise _Fallback("tied sub-I/O arrival times")
-    return arrivals, sub_fin, disk_rows
+        fl = m.flight[o]
+        pm = m.is_post[o]
+        tied |= np.any(
+            (a[:, 1:] == a[:, :-1])
+            & (fl[:, 1:] != fl[:, :-1])
+            & ~(pm[:, :-1] & ~pm[:, 1:]),
+            axis=1,
+        )
+    return _TwoPhase(members, converged, tied, sub_fin)
 
 
 def _compute_array(trace: PackedTrace, device: DiskArray, t0: float) -> _Computed:
@@ -949,68 +1124,61 @@ def _compute_array(trace: PackedTrace, device: DiskArray, t0: float) -> _Compute
     )
 
     exp = _expand_subios(geom, sectors, nbytes, ops)
-    flight_offsets = exp.flight_offsets
-    sub_sector, sub_nbytes, sub_op = exp.sector, exp.nbytes, exp.op
     total = exp.total
-    sub_fin = np.empty(total, dtype=np.float64)
+    rows = _member_rows(exp, len(device.disks))
+
+    def plan(di: int) -> ServicePlan:
+        r = rows[di]
+        return _prepare(device.disks[di], exp.sector[r], exp.nbytes[r], exp.op[r])
+
+    # Each served member's (index, plan, order, sorted arrivals,
+    # finishes or None to solve them at commit).
+    if exp.has_pre:
+        # RAID-5 read-modify-write: post writes barrier on their pre
+        # reads.  Solve the barrier fixpoint and commit the converged
+        # per-member schedules as they stand.
+        plans = [plan(di) if r.size else None for di, r in enumerate(rows)]
+        two = _solve_two_phase(exp, rows, plans, dispatch[None, :])
+        if not bool(two.converged[0]):
+            raise _Fallback("rmw barrier schedule did not converge")
+        if bool(two.tied[0]):
+            raise _Fallback("tied sub-I/O arrival times")
+        sub_fin = two.sub_fin[0]
+        served = (
+            (di, m.plan, m.order[0], m.arrivals[0], m.fin[0])
+            for di, m in enumerate(two.members)
+            if m is not None
+        )
+    else:
+        # Every sub-I/O arrives at its flight's dispatch, so each
+        # member serves in plan order; plans are prepared one member at
+        # a time as the loop below reaches it.
+        sub_fin = np.empty(total, dtype=np.float64)
+        arrivals = dispatch[exp.sub_flight]
+        served = (
+            (di, plan(di), np.arange(r.size), arrivals[r], None)
+            for di, r in enumerate(rows)
+            if r.size
+        )
     commits: List[Callable[[], None]] = []
     pushes: List[np.ndarray] = []
     pops: List[np.ndarray] = []
-    if exp.has_pre:
-        # RAID-5 read-modify-write: post writes barrier on their pre
-        # reads.  Solve the barrier fixpoint, then serve each member in
-        # the converged arrival order.
-        arrivals, _fins, disk_rows = _solve_two_phase(device, exp, dispatch)
-        for di, disk in enumerate(device.disks):
-            rows = disk_rows[di]
-            if not rows.size:
-                continue
-            perm = rows[np.argsort(arrivals[rows], kind="stable")]
-            fin, _starts, push, pop, commit = _serve_fifo(
-                disk,
-                arrivals[perm],
-                sub_sector[perm],
-                sub_nbytes[perm],
-                sub_op[perm],
-            )
-            sub_fin[perm] = fin
-            commits.append(commit)
-            if push.size:
-                pushes.append(push)
-                pops.append(pop)
-    else:
-        arrivals = dispatch[exp.sub_flight]
-
-        # Per-disk FCFS service.  Stable sort keeps each disk's sub-I/Os
-        # in flight/plan order — the member queue's arrival order.
-        order = np.argsort(exp.disk, kind="stable")
-        disk_sorted = exp.disk[order]
-        cuts = np.searchsorted(
-            disk_sorted, np.arange(len(device.disks) + 1, dtype=np.int64)
+    for di, sp, order, submit_d, fin_d in served:
+        fin, push, pop, commit = _serve_fifo(
+            device.disks[di], sp, order, submit_d, fin_d
         )
-        for di, disk in enumerate(device.disks):
-            lo, hi = int(cuts[di]), int(cuts[di + 1])
-            if lo == hi:
-                continue
-            rows = order[lo:hi]
-            fin, _starts, push, pop, commit = _serve_fifo(
-                disk,
-                arrivals[rows],
-                sub_sector[rows],
-                sub_nbytes[rows],
-                sub_op[rows],
-            )
-            sub_fin[rows] = fin
-            commits.append(commit)
-            if push.size:
-                pushes.append(push)
-                pops.append(pop)
+        if fin_d is None:
+            sub_fin[rows[di]] = fin
+        commits.append(commit)
+        if push.size:
+            pushes.append(push)
+            pops.append(pop)
 
     # A flight completes when its last sub-I/O finishes.  Tied flight
     # finish times would make the monitor's accumulation order depend
     # on event sequence numbers — the closed form cannot reproduce
     # that, so such schedules fall back.
-    fl_fin = np.maximum.reduceat(sub_fin, flight_offsets[:-1])
+    fl_fin = np.maximum.reduceat(sub_fin, exp.flight_offsets[:-1])
     if np.unique(fl_fin).size != fl_fin.size:
         raise _Fallback("tied flight completion times")
     comp_order = np.argsort(fl_fin, kind="stable")

@@ -28,19 +28,59 @@ CompletionCallback = Callable[["Completion"], None]
 class VectorService:
     """A vectorized service plan for a run of back-to-back requests.
 
-    Produced by a device's ``service_times(sectors, nbytes, ops)``:
-    per-request service seconds and mean Watts computed with arithmetic
-    ordered exactly as the scalar ``_service`` loop, starting from the
-    device's current cursor state.  Computing the plan is pure; calling
-    ``apply_state`` commits the cursor/counter mutations (head position,
-    streaming cursors, seek / random-write counters) the scalar loop
-    would have made, leaving the device in the identical end state.
-    Consumed by the analytical replay kernel (:mod:`repro.sim.kernel`).
+    Produced by :meth:`ServicePlan.full` (and a device's
+    ``service_times(sectors, nbytes, ops)``, which serves the rows in
+    the given order): per-request service seconds and mean Watts
+    computed with arithmetic ordered exactly as the scalar ``_service``
+    loop, starting from the device's current cursor state.  Computing
+    the plan is pure; calling ``apply_state`` commits the cursor/counter
+    mutations (head position, streaming cursors, seek / random-write
+    counters) the scalar loop would have made, leaving the device in
+    the identical end state.  Consumed by the analytical replay kernel
+    (:mod:`repro.sim.kernel`).
     """
 
     seconds: "object"  # np.ndarray, float64
     watts: "object"  # np.ndarray, float64
     apply_state: Callable[[], None]
+
+
+class ServicePlan(ABC):
+    """A device's service model prepared for one fixed set of requests.
+
+    Produced by a device's ``prepare_service(sectors, nbytes, ops)``
+    from its cursor state at that moment.  The per-request terms that do
+    not depend on serving order (end sector, write flag, transfer time,
+    write-cache factors, op Watts) are computed once; :meth:`seconds`
+    and :meth:`full` evaluate only the order-dependent terms for an
+    ``order`` — a 1-D index sequence into the prepared rows, or a
+    ``(P, k)`` matrix of such sequences, one serving order per row.
+    Either way the result is bit-identical to the scalar ``_service``
+    loop serving the rows in that order from the prepared cursor state.
+    The analytical kernel re-evaluates one plan under many candidate
+    orders while solving the RAID-5 read-modify-write fixpoint.
+    """
+
+    #: (n,) int64 end sector of each prepared request.
+    end_sectors: "object"
+
+    @abstractmethod
+    def seconds(self, order) -> "object":
+        """Service seconds of the rows served in ``order`` (same shape)."""
+
+    @abstractmethod
+    def full(self, order) -> VectorService:
+        """Seconds, Watts and the cursor commit for serving ``order``.
+
+        ``apply_state`` commits the end state of a 1-D ``order``; for a
+        ``(P, k)`` matrix each row ends in its own state, so it raises
+        :class:`ValueError`.
+        """
+
+
+def no_row_state() -> None:
+    """``apply_state`` of a ``(P, k)`` :class:`VectorService`."""
+    raise ValueError("a (P, k) service plan has no single end state")
 
 
 @dataclass(frozen=True)

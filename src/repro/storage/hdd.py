@@ -33,7 +33,7 @@ from ..power.states import PowerState
 from ..rng import make_rng
 from ..trace.record import IOPackage, WRITE
 from ..units import SECTOR_BYTES
-from .base import QueuedDevice, VectorService
+from .base import QueuedDevice, ServicePlan, VectorService, no_row_state
 from .specs import HDDSpec, SEAGATE_7200_12
 
 
@@ -145,15 +145,15 @@ class HardDiskDrive(QueuedDevice):
         self._last_op = package.op
         return total, mean_watts
 
-    def service_times(self, sectors, nbytes, ops) -> VectorService:
+    def prepare_service(self, sectors, nbytes, ops) -> "_HDDServicePlan":
         """Vectorized mirror of :meth:`_service` for the analytical kernel.
 
-        Computes service seconds and mean Watts for serving the given
-        rows back-to-back in order, starting from the drive's current
-        head/streaming state.  Every expression is evaluated in the same
-        order as the scalar path, so results are bit-identical.  Pure:
-        call ``apply_state()`` on the returned plan to commit the head
-        cursor, streaming context, and ``seek_count``.
+        Prepares the rows' order-independent service terms once, from
+        the drive's current head/streaming state; the returned
+        :class:`~repro.storage.base.ServicePlan` evaluates any serving
+        order bit-identically to the scalar path.  Pure: call
+        ``apply_state()`` on a 1-D ``plan.full(order)`` to commit the
+        head cursor, streaming context, and ``seek_count``.
         """
         if not self.state.ready:
             raise StorageIOError(
@@ -164,189 +164,13 @@ class HardDiskDrive(QueuedDevice):
                 f"{self.name}: vectorized service requires deterministic "
                 f"rotational latency (rotational_jitter draws per request)"
             )
-        spec = self.spec
-        sectors = np.asarray(sectors, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        ops = np.asarray(ops, dtype=np.int64)
-        n = sectors.shape[0]
-        if n == 0:
-            empty = np.empty(0, dtype=np.float64)
-            return VectorService(empty, empty, lambda: None)
-        end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-        is_write = ops == WRITE
+        return _HDDServicePlan(self, sectors, nbytes, ops)
 
-        # Streaming: previous request's end sector (row 0 uses the
-        # drive's cursor; None means no streaming context yet).
-        prev_end = np.empty(n, dtype=np.int64)
-        prev_end[1:] = end_sectors[:-1]
-        prev_end[0] = (
-            self._last_end_sector if self._last_end_sector is not None else -1
-        )
-        sequential = sectors == prev_end
-        if self._last_end_sector is None:
-            sequential[0] = False
-
-        # Turnaround on op-type switches (paid even while streaming).
-        prev_op = np.empty(n, dtype=np.int64)
-        prev_op[1:] = ops[:-1]
-        prev_op[0] = self._last_op if self._last_op is not None else -1
-        switched = ops != prev_op
-        if self._last_op is None:
-            switched[0] = False
-        turnaround = np.where(
-            switched,
-            np.where(
-                is_write,
-                spec.read_to_write_turnaround,
-                spec.write_to_read_turnaround,
-            ),
-            0.0,
-        )
-
-        # Seek from the head position, which the scalar path always
-        # leaves at the previous request's end sector.
-        head = np.empty(n, dtype=np.int64)
-        head[1:] = end_sectors[:-1]
-        head[0] = self._head_sector
-        distance = np.abs(sectors - head)
-        cap = max(self.capacity_sectors, 1)
-        seek = np.where(
-            distance == 0,
-            0.0,
-            spec.settle_time + spec.seek_coefficient * np.sqrt(distance / cap),
-        )
-        rotation = np.full(n, spec.mean_rotational_latency)
-        if spec.write_cache:
-            seek = np.where(is_write, seek * spec.destage_seek_factor, seek)
-            rotation = np.where(
-                is_write, rotation * spec.destage_seek_factor, rotation
-            )
-        seek = np.where(sequential, 0.0, seek)
-        rotation = np.where(sequential, 0.0, rotation)
-        seeks = int(np.count_nonzero(seek > 0))
-
-        frac = np.minimum(
-            np.maximum(sectors / max(spec.capacity_sectors, 1), 0.0), 1.0
-        )
-        rate = spec.outer_rate - (spec.outer_rate - spec.inner_rate) * frac
-        transfer = nbytes / rate
-        total = spec.command_overhead + turnaround + seek + rotation + transfer
-
-        xfer_watts = np.where(is_write, spec.write_watts, spec.read_watts)
-        energy = (
-            (spec.command_overhead + turnaround + rotation)
-            * spec.rotate_wait_watts
-            + seek * spec.seek_watts
-            + transfer * xfer_watts
-        )
-        mean_watts = np.full(n, spec.idle_watts)
-        np.divide(energy, total, out=mean_watts, where=total > 0)
-
-        last_end = int(end_sectors[-1])
-        last_op = int(ops[-1])
-
-        def apply_state() -> None:
-            self._head_sector = last_end
-            self._last_end_sector = last_end
-            self._last_op = last_op
-            self.seek_count += seeks
-
-        return VectorService(total, mean_watts, apply_state)
-
-    def service_times_grid(self, sectors, nbytes, ops):
-        """Pure ``(P, n)`` mirror of :meth:`service_times` for grid cells.
-
-        Each row is an independent serving sequence from the drive's
-        current cursor state; row ``i`` of the returned
-        ``(seconds, watts)`` matrices is bit-identical to
-        ``service_times(sectors[i], nbytes[i], ops[i])`` — every
-        expression is the same elementwise ufunc chain, shifted along
-        the last axis instead of a flat one.  Used by the RMW grid
-        solver, where each cell serves the same requests in its own
-        order so no single 1-D service vector can be shared.  Pure:
-        commits no cursor, streaming, or seek-count state.
-        """
-        if not self.state.ready:
-            raise StorageIOError(
-                f"{self.name}: request while {self.state.value}; spin up first"
-            )
-        if self.rotational_jitter:
-            raise StorageIOError(
-                f"{self.name}: vectorized service requires deterministic "
-                f"rotational latency (rotational_jitter draws per request)"
-            )
-        spec = self.spec
-        sectors = np.asarray(sectors, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        ops = np.asarray(ops, dtype=np.int64)
-        p, n = sectors.shape
-        if n == 0 or p == 0:
-            empty = np.empty((p, n), dtype=np.float64)
-            return empty, empty.copy()
-        end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-        is_write = ops == WRITE
-
-        prev_end = np.empty((p, n), dtype=np.int64)
-        prev_end[:, 1:] = end_sectors[:, :-1]
-        prev_end[:, 0] = (
-            self._last_end_sector if self._last_end_sector is not None else -1
-        )
-        sequential = sectors == prev_end
-        if self._last_end_sector is None:
-            sequential[:, 0] = False
-
-        prev_op = np.empty((p, n), dtype=np.int64)
-        prev_op[:, 1:] = ops[:, :-1]
-        prev_op[:, 0] = self._last_op if self._last_op is not None else -1
-        switched = ops != prev_op
-        if self._last_op is None:
-            switched[:, 0] = False
-        turnaround = np.where(
-            switched,
-            np.where(
-                is_write,
-                spec.read_to_write_turnaround,
-                spec.write_to_read_turnaround,
-            ),
-            0.0,
-        )
-
-        head = np.empty((p, n), dtype=np.int64)
-        head[:, 1:] = end_sectors[:, :-1]
-        head[:, 0] = self._head_sector
-        distance = np.abs(sectors - head)
-        cap = max(self.capacity_sectors, 1)
-        seek = np.where(
-            distance == 0,
-            0.0,
-            spec.settle_time + spec.seek_coefficient * np.sqrt(distance / cap),
-        )
-        rotation = np.full((p, n), spec.mean_rotational_latency)
-        if spec.write_cache:
-            seek = np.where(is_write, seek * spec.destage_seek_factor, seek)
-            rotation = np.where(
-                is_write, rotation * spec.destage_seek_factor, rotation
-            )
-        seek = np.where(sequential, 0.0, seek)
-        rotation = np.where(sequential, 0.0, rotation)
-
-        frac = np.minimum(
-            np.maximum(sectors / max(spec.capacity_sectors, 1), 0.0), 1.0
-        )
-        rate = spec.outer_rate - (spec.outer_rate - spec.inner_rate) * frac
-        transfer = nbytes / rate
-        total = spec.command_overhead + turnaround + seek + rotation + transfer
-
-        xfer_watts = np.where(is_write, spec.write_watts, spec.read_watts)
-        energy = (
-            (spec.command_overhead + turnaround + rotation)
-            * spec.rotate_wait_watts
-            + seek * spec.seek_watts
-            + transfer * xfer_watts
-        )
-        mean_watts = np.full((p, n), spec.idle_watts)
-        np.divide(energy, total, out=mean_watts, where=total > 0)
-        return total, mean_watts
+    def service_times(self, sectors, nbytes, ops) -> VectorService:
+        """Serve the rows back-to-back in the given order (see
+        :meth:`prepare_service`)."""
+        plan = self.prepare_service(sectors, nbytes, ops)
+        return plan.full(np.arange(plan.end_sectors.size))
 
     # -- Spin-down support (energy-saving extensions) ---------------------
 
@@ -393,3 +217,128 @@ class HardDiskDrive(QueuedDevice):
 
         sim.schedule(ready_at, _ready, priority=-1)
         return ready_at - sim.now
+
+
+class _HDDServicePlan(ServicePlan):
+    """:class:`HardDiskDrive` service terms for one set of requests.
+
+    Every expression below is the scalar :meth:`HardDiskDrive._service`
+    arithmetic, elementwise and in the same order.  Terms are split by
+    what they depend on: the transfer time, the write-cache factors and
+    the phase Watts depend on the request alone, so they are computed
+    once here; streaming, turnaround and seek depend on the previous
+    request served, so :meth:`_terms` evaluates them per order.  A
+    term the scalar path skips is multiplied by a 0/1 mask instead
+    (``x * 1.0 == x`` and ``x * 0.0 == 0.0`` exactly for finite
+    ``x >= 0``), and ``command_overhead + 0.0`` is
+    ``command_overhead``, so the split is bit-neutral.
+    """
+
+    def __init__(self, drive: HardDiskDrive, sectors, nbytes, ops) -> None:
+        spec = drive.spec
+        self.spec = spec
+        self._drive = drive
+        self.sectors = np.asarray(sectors, dtype=np.int64)
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        self.ops = np.asarray(ops, dtype=np.int64)
+        self.end_sectors = self.sectors + -(-nbytes // SECTOR_BYTES)
+        is_write = self.ops == WRITE
+        # The drive's cursors at preparation: column 0 of every order
+        # continues from them.
+        self._last_end = drive._last_end_sector
+        self._last_op = drive._last_op
+        self._head = drive._head_sector
+        self._cap = max(drive.capacity_sectors, 1)
+        self._turnaround = np.where(
+            is_write, spec.read_to_write_turnaround, spec.write_to_read_turnaround
+        )
+        rotation = np.full(is_write.shape, spec.mean_rotational_latency)
+        self._destage = None
+        if spec.write_cache:
+            # Write-back cached writes; 1.0 leaves a read's seek as is.
+            self._destage = np.where(is_write, spec.destage_seek_factor, 1.0)
+            rotation = np.where(
+                is_write, rotation * spec.destage_seek_factor, rotation
+            )
+        self._rotation = rotation
+        frac = np.minimum(
+            np.maximum(self.sectors / max(spec.capacity_sectors, 1), 0.0), 1.0
+        )
+        rate = spec.outer_rate - (spec.outer_rate - spec.inner_rate) * frac
+        self._transfer = nbytes / rate
+        self._xfer_watts = np.where(is_write, spec.write_watts, spec.read_watts)
+
+    def _terms(self, order):
+        """``(cost, seek, rotation, transfer, total, ends, ops)`` of the
+        rows served in ``order``, where ``cost`` is ``command_overhead
+        + turnaround``."""
+        spec = self.spec
+        sectors = np.take(self.sectors, order)
+        ends = np.take(self.end_sectors, order)
+        ops = np.take(self.ops, order)
+        if not ends.shape[-1]:
+            empty = np.empty(ends.shape)
+            return empty, empty, empty, empty, empty, ends, ops
+        # Seek distance from the head, which the scalar path always
+        # leaves at the previous request's end sector; a request that
+        # starts there streams (no seek, no rotation) — column 0
+        # continues from the drive's cursors (a None streaming context
+        # never streams).
+        distance = np.empty_like(sectors)
+        np.subtract(sectors[..., 1:], ends[..., :-1], out=distance[..., 1:])
+        distance[..., 0] = sectors[..., 0] - self._head
+        np.abs(distance, out=distance)
+        rotating = distance != 0
+        if self._last_end is not None:
+            rotating[..., 0] = sectors[..., 0] != self._last_end
+        else:
+            rotating[..., 0] = True
+        seeking = rotating.copy()
+        seeking[..., 0] &= distance[..., 0] != 0
+        # Turnaround on op-type switches (paid even while streaming).
+        switched = np.empty(ops.shape, dtype=bool)
+        np.not_equal(ops[..., 1:], ops[..., :-1], out=switched[..., 1:])
+        switched[..., 0] = (
+            ops[..., 0] != self._last_op if self._last_op is not None else False
+        )
+        cost = spec.command_overhead + np.take(self._turnaround, order) * switched
+        seek = (
+            spec.settle_time
+            + spec.seek_coefficient * np.sqrt(distance / self._cap)
+        ) * seeking
+        if self._destage is not None:
+            seek = seek * np.take(self._destage, order)
+        rotation = np.take(self._rotation, order) * rotating
+        transfer = np.take(self._transfer, order)
+        total = cost + seek + rotation + transfer
+        return cost, seek, rotation, transfer, total, ends, ops
+
+    def seconds(self, order):
+        return self._terms(order)[4]
+
+    def full(self, order) -> VectorService:
+        spec = self.spec
+        cost, seek, rotation, transfer, total, ends, ops = self._terms(order)
+        energy = (
+            (cost + rotation) * spec.rotate_wait_watts
+            + seek * spec.seek_watts
+            + transfer * np.take(self._xfer_watts, order)
+        )
+        mean_watts = np.full(total.shape, spec.idle_watts)
+        np.divide(energy, total, out=mean_watts, where=total > 0)
+        if total.ndim > 1:
+            return VectorService(total, mean_watts, no_row_state)
+        if not total.size:
+            return VectorService(total, mean_watts, lambda: None)
+        drive = self._drive
+        last_end = int(ends[-1])
+        last_op = int(ops[-1])
+        seeks = int(np.count_nonzero(seek > 0))
+
+        def apply_state() -> None:
+            drive._head_sector = last_end
+            drive._last_end_sector = last_end
+            drive._last_op = last_op
+            drive.seek_count += seeks
+
+        return VectorService(total, mean_watts, apply_state)

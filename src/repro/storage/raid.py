@@ -564,60 +564,71 @@ def expand_flights(
     gpnbytes = ghi - glo
     q = np.arange(wk, dtype=np.int64) - gstart[gid]
 
-    # Candidate sub-I/Os: each category carries its plan-order sort keys
-    # (flight, phase, row, okey) where phase 0 = pre / 1 = post and okey
-    # orders one row group as [data chunks in chunk order, parity].
+    # Closed-form placement.  A write flight's plan is its pre block —
+    # per partial row group, in row order: old data chunks, then the
+    # old parity extent — followed by its post block: per row group,
+    # new data chunks, then the new parity extent.  A read flight's
+    # plan is its chunks in order.  Each group's offset inside its
+    # flight's block is an exclusive running sum restarted at the
+    # flight's first group.
+    gsize = gcnt + 1
+    pre_size = np.where(partial, gsize, 0)
+    fstart = np.flatnonzero(np.append(True, gflight[1:] != gflight[:-1]))
+    first = np.repeat(fstart, np.diff(np.append(fstart, gflight.size)))
+    pre_run = np.cumsum(pre_size) - pre_size
+    post_run = np.cumsum(gsize) - gsize
+    wflights = gflight[fstart]
+    pre_counts = np.zeros(n, dtype=np.int64)
+    pre_counts[wflights] = np.add.reduceat(pre_size, fstart)
+    counts = nch.astype(np.int64)
+    counts[wflights] = pre_counts[wflights] + np.add.reduceat(gsize, fstart)
+    flight_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    pre_base = flight_offsets[gflight] + (pre_run - pre_run[first])
+    post_base = (
+        flight_offsets[gflight] + pre_counts[gflight] + (post_run - post_run[first])
+    )
+
+    total = int(flight_offsets[-1])
+    disk_out = np.empty(total, dtype=np.int64)
+    sector_out = np.empty(total, dtype=np.int64)
+    nb_out = np.empty(total, dtype=np.int64)
+    op_out = np.empty(total, dtype=np.int64)
+    is_pre = np.empty(total, dtype=bool)
     ppre = np.flatnonzero(partial)  # partial (RMW) groups
     dpre = np.flatnonzero(partial[gid])  # their data chunks
     ridx = np.flatnonzero(~wmask)  # read-flight chunks
-
-    def _cat(flight, phase, rowk, okey, disk, sector, nb, op):
-        m = flight.size
-        return (
-            flight, np.full(m, phase, dtype=np.int64), rowk, okey,
-            disk, sector, nb, np.full(m, op, dtype=np.int64),
-        )
-
-    cats = [
-        # Read flights: plain data placement, chunk order (phase 1,
-        # row key 0, okey = within-flight chunk index).
-        _cat(
-            c_flight[ridx], 1, np.zeros(ridx.size, dtype=np.int64), j[ridx],
-            d_disk[ridx], d_sector[ridx], c_nbytes[ridx], READ,
+    w_disk, w_sector, w_nb = d_disk[widx], d_sector[widx], c_nbytes[widx]
+    for pos, disk, sector, nb, op, pre in (
+        # Read flights: plain data placement, chunk order.
+        (
+            flight_offsets[c_flight[ridx]] + j[ridx],
+            d_disk[ridx], d_sector[ridx], c_nbytes[ridx], READ, False,
         ),
         # RMW pre: old data chunks, then the old parity extent.
-        _cat(
-            wf[dpre], 0, wr[dpre], q[dpre],
-            d_disk[widx][dpre], d_sector[widx][dpre],
-            c_nbytes[widx][dpre], READ,
+        (
+            pre_base[gid[dpre]] + q[dpre],
+            w_disk[dpre], w_sector[dpre], w_nb[dpre], READ, True,
         ),
-        _cat(
-            gflight[ppre], 0, grow[ppre], gcnt[ppre],
-            gpdisk[ppre], gpsector[ppre], gpnbytes[ppre], READ,
+        (
+            pre_base[ppre] + gcnt[ppre],
+            gpdisk[ppre], gpsector[ppre], gpnbytes[ppre], READ, True,
         ),
         # Post: new data chunks, then the new parity extent (all rows).
-        _cat(
-            wf, 1, wr, q,
-            d_disk[widx], d_sector[widx], c_nbytes[widx], WRITE,
-        ),
-        _cat(gflight, 1, grow, gcnt, gpdisk, gpsector, gpnbytes, WRITE),
-    ]
-    flight_k, phase_k, row_k, okey_k, disk_k, sector_k, nb_k, op_k = (
-        np.concatenate(cols) for cols in zip(*cats)
-    )
-    order = np.lexsort((okey_k, row_k, phase_k, flight_k))
-    counts = np.bincount(flight_k, minlength=n).astype(np.int64)
-    flight_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    pre_counts = np.bincount(
-        flight_k[phase_k == 0], minlength=n
-    ).astype(np.int64)
+        (post_base[gid] + q, w_disk, w_sector, w_nb, WRITE, False),
+        (post_base + gcnt, gpdisk, gpsector, gpnbytes, WRITE, False),
+    ):
+        disk_out[pos] = disk
+        sector_out[pos] = sector
+        nb_out[pos] = nb
+        op_out[pos] = op
+        is_pre[pos] = pre
     return FlightExpansion(
         flight_offsets,
-        flight_k[order],
-        disk_k[order],
-        sector_k[order],
-        nb_k[order],
-        op_k[order],
-        (phase_k == 0)[order],
+        np.repeat(np.arange(n, dtype=np.int64), counts),
+        disk_out,
+        sector_out,
+        nb_out,
+        op_out,
+        is_pre,
         pre_counts,
     )

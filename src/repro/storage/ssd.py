@@ -19,7 +19,7 @@ import numpy as np
 
 from ..trace.record import IOPackage, WRITE
 from ..units import SECTOR_BYTES
-from .base import QueuedDevice, VectorService
+from .base import QueuedDevice, ServicePlan, VectorService, no_row_state
 from .specs import SSDSpec, MEMORIGHT_SLC_32GB
 
 
@@ -77,115 +77,105 @@ class SolidStateDrive(QueuedDevice):
         # controller is the consumer); bill the whole service at op power.
         return total, watts
 
-    def service_times(self, sectors, nbytes, ops) -> VectorService:
+    def prepare_service(self, sectors, nbytes, ops) -> "_SSDServicePlan":
         """Vectorized mirror of :meth:`_service` for the analytical kernel.
 
-        Same contract as :meth:`HardDiskDrive.service_times
-        <repro.storage.hdd.HardDiskDrive.service_times>`: pure compute
-        with scalar-ordered arithmetic (bit-identical results), and an
-        ``apply_state`` callback committing the FTL streaming cursors
-        and ``random_write_count``.
+        Same contract as :meth:`HardDiskDrive.prepare_service
+        <repro.storage.hdd.HardDiskDrive.prepare_service>`: pure compute
+        with scalar-ordered arithmetic (bit-identical results) for any
+        serving order, and an ``apply_state`` callback on a 1-D
+        ``plan.full(order)`` committing the FTL streaming cursors and
+        ``random_write_count``.
         """
-        spec = self.spec
-        sectors = np.asarray(sectors, dtype=np.int64)
+        return _SSDServicePlan(self, sectors, nbytes, ops)
+
+    def service_times(self, sectors, nbytes, ops) -> VectorService:
+        """Serve the rows back-to-back in the given order (see
+        :meth:`prepare_service`)."""
+        plan = self.prepare_service(sectors, nbytes, ops)
+        return plan.full(np.arange(plan.end_sectors.size))
+
+
+class _SSDServicePlan(ServicePlan):
+    """:class:`SolidStateDrive` service terms for one set of requests.
+
+    Latency, transfer and Watts depend on the request alone; only the
+    random-write overhead depends on order, because write sequentiality
+    is judged against the previous *write* served (reads interleave
+    freely through the FTL).  The overhead is added as
+    ``random_write_overhead * random`` (0/1 mask), which is the scalar
+    path's ``0.0`` or overhead exactly.
+    """
+
+    def __init__(self, drive: SolidStateDrive, sectors, nbytes, ops) -> None:
+        spec = drive.spec
+        self._drive = drive
+        self.sectors = np.asarray(sectors, dtype=np.int64)
         nbytes = np.asarray(nbytes, dtype=np.int64)
         ops = np.asarray(ops, dtype=np.int64)
-        n = sectors.shape[0]
-        if n == 0:
-            empty = np.empty(0, dtype=np.float64)
-            return VectorService(empty, empty, lambda: None)
-        end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-        is_write = ops == WRITE
-
+        self.end_sectors = self.sectors + -(-nbytes // SECTOR_BYTES)
+        self.is_write = ops == WRITE
+        self._last_write_end = drive._last_write_end
+        is_write = self.is_write
         latency = np.where(is_write, spec.write_latency, spec.read_latency)
         rate = np.where(is_write, spec.write_rate, spec.read_rate)
-        watts = np.where(is_write, spec.write_watts, spec.read_watts)
-        overhead = np.zeros(n, dtype=np.float64)
+        self._watts = np.where(is_write, spec.write_watts, spec.read_watts)
+        self._overhead = spec.random_write_overhead
+        self._cost = spec.command_overhead + latency
+        self._transfer = nbytes / rate
 
-        # Write sequentiality is judged against the *previous write*
-        # (reads interleave freely through the FTL), so shift within the
-        # write subsequence only.
-        w_idx = np.flatnonzero(is_write)
-        rand_writes = 0
-        if w_idx.size:
-            w_prev = np.empty(w_idx.size, dtype=np.int64)
-            w_prev[1:] = end_sectors[w_idx[:-1]]
-            w_prev[0] = (
-                self._last_write_end if self._last_write_end is not None else -1
-            )
-            w_seq = sectors[w_idx] == w_prev
-            if self._last_write_end is None:
-                w_seq[0] = False
-            overhead[w_idx[~w_seq]] = spec.random_write_overhead
-            rand_writes = int(np.count_nonzero(~w_seq))
-
-        transfer = nbytes / rate
-        total = spec.command_overhead + latency + overhead + transfer
-        mean_watts = watts + np.zeros(n, dtype=np.float64)
-
-        r_idx = np.flatnonzero(~is_write)
-        last_read_end = int(end_sectors[r_idx[-1]]) if r_idx.size else None
-        last_write_end = int(end_sectors[w_idx[-1]]) if w_idx.size else None
-
-        def apply_state() -> None:
-            if last_read_end is not None:
-                self._last_read_end = last_read_end
-            if last_write_end is not None:
-                self._last_write_end = last_write_end
-            self.random_write_count += rand_writes
-
-        return VectorService(total, mean_watts, apply_state)
-
-    def service_times_grid(self, sectors, nbytes, ops):
-        """Pure ``(P, n)`` mirror of :meth:`service_times` for grid cells.
-
-        Row ``i`` of the returned ``(seconds, watts)`` matrices is
-        bit-identical to ``service_times(sectors[i], nbytes[i],
-        ops[i])``.  The per-row previous-write chain (write
-        sequentiality is judged against the last *write*, skipping
-        interleaved reads) is vectorized with a running-maximum over
-        write column indices.  Pure: commits no FTL cursor or counter
-        state.
-        """
-        spec = self.spec
-        sectors = np.asarray(sectors, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        ops = np.asarray(ops, dtype=np.int64)
-        p, n = sectors.shape
-        if n == 0 or p == 0:
-            empty = np.empty((p, n), dtype=np.float64)
-            return empty, empty.copy()
-        end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-        is_write = ops == WRITE
-
-        latency = np.where(is_write, spec.write_latency, spec.read_latency)
-        rate = np.where(is_write, spec.write_rate, spec.read_rate)
-        watts = np.where(is_write, spec.write_watts, spec.read_watts)
-
-        # Index of the last write strictly before each column (per row):
-        # a running maximum over write column indices, shifted right.
-        wpos = np.where(is_write, np.arange(n, dtype=np.int64), -1)
-        last_w = np.maximum.accumulate(wpos, axis=1)
-        prev_w = np.empty((p, n), dtype=np.int64)
-        prev_w[:, 1:] = last_w[:, :-1]
-        prev_w[:, 0] = -1
-        gathered = np.take_along_axis(
-            end_sectors, np.maximum(prev_w, 0), axis=1
-        )
+    def _random(self, order):
+        """Writes served in ``order`` that do not continue the previous
+        write's stream (they pay the FTL merge overhead)."""
+        is_write = np.take(self.is_write, order)
+        ends = np.take(self.end_sectors, order)
+        k = is_write.shape[-1]
+        if not k:
+            return is_write
+        # Index of the last write strictly before each column: a running
+        # maximum over write column indices, shifted right.
+        wpos = np.where(is_write, np.arange(k, dtype=np.int64), -1)
+        last_w = np.maximum.accumulate(wpos, axis=-1)
+        prev_w = np.empty_like(last_w)
+        prev_w[..., 1:] = last_w[..., :-1]
+        prev_w[..., 0] = -1
+        gathered = np.take_along_axis(ends, np.maximum(prev_w, 0), axis=-1)
+        # No FTL context (-1, below every sector): the first write is
+        # never sequential.
         dev_prev = (
             self._last_write_end if self._last_write_end is not None else -1
         )
         w_prev_end = np.where(prev_w >= 0, gathered, dev_prev)
-        w_seq = is_write & (sectors == w_prev_end)
-        if self._last_write_end is None:
-            # No FTL context: a row's first write is never sequential
-            # (matches the scalar path's explicit ``w_seq[0] = False``).
-            w_seq &= prev_w >= 0
-        overhead = np.where(
-            is_write & ~w_seq, spec.random_write_overhead, 0.0
-        )
+        w_seq = is_write & (np.take(self.sectors, order) == w_prev_end)
+        return is_write & ~w_seq
 
-        transfer = nbytes / rate
-        total = spec.command_overhead + latency + overhead + transfer
-        mean_watts = watts + np.zeros((p, n), dtype=np.float64)
-        return total, mean_watts
+    def _total(self, order, random):
+        cost = np.take(self._cost, order) + self._overhead * random
+        return cost + np.take(self._transfer, order)
+
+    def seconds(self, order):
+        return self._total(order, self._random(order))
+
+    def full(self, order) -> VectorService:
+        random = self._random(order)
+        total = self._total(order, random)
+        watts = np.take(self._watts, order)
+        if total.ndim > 1:
+            return VectorService(total, watts, no_row_state)
+        is_write = np.take(self.is_write, order)
+        ends = np.take(self.end_sectors, order)
+        r_idx = np.flatnonzero(~is_write)
+        w_idx = np.flatnonzero(is_write)
+        last_read_end = int(ends[r_idx[-1]]) if r_idx.size else None
+        last_write_end = int(ends[w_idx[-1]]) if w_idx.size else None
+        rand_writes = int(np.count_nonzero(random))
+        drive = self._drive
+
+        def apply_state() -> None:
+            if last_read_end is not None:
+                drive._last_read_end = last_read_end
+            if last_write_end is not None:
+                drive._last_write_end = last_write_end
+            drive.random_write_count += rand_writes
+
+        return VectorService(total, watts, apply_state)

@@ -1,0 +1,147 @@
+"""Property-based test: prepared service plans equal the scalar loop.
+
+The analytical kernel evaluates one member's
+:class:`~repro.storage.base.ServicePlan` under many candidate serving
+orders while it solves the RAID-5 read-modify-write fixpoint, and the
+grid evaluates ``(P, k)`` order matrices (one order per cell).  Every
+evaluation must be bit-identical to the device's scalar ``_service``
+loop serving the same rows in the same order from the same cursor
+state — and to ``service_times`` on the permuted columns — including
+the cursor/counter end state ``apply_state`` commits.  Hypothesis
+drives HDDs with the write cache on and off and SSDs with interleaved
+reads and writes, from fresh and non-fresh cursors.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.storage.hdd import HardDiskDrive
+from repro.storage.specs import SEAGATE_7200_12
+from repro.storage.ssd import SolidStateDrive
+from repro.trace.record import READ, WRITE, IOPackage
+from repro.units import SECTOR_BYTES
+
+_HDD_STATE = ("_head_sector", "_last_end_sector", "_last_op", "seek_count")
+_SSD_STATE = ("_last_read_end", "_last_write_end", "random_write_count")
+
+
+@st.composite
+def plan_cases(draw):
+    kind = draw(st.sampled_from(["hdd-cache", "hdd-nocache", "ssd"]))
+    n = draw(st.integers(min_value=1, max_value=16))
+    sectors, nbytes, ops = [], [], []
+    for i in range(n):
+        nb = draw(st.integers(min_value=1, max_value=64)) * 512
+        if i and draw(st.booleans()):
+            # Continue the previous row so some orders stream.
+            sector = sectors[-1] + -(-nbytes[-1] // SECTOR_BYTES)
+        else:
+            sector = draw(st.integers(min_value=0, max_value=1 << 20))
+        sectors.append(sector)
+        nbytes.append(nb)
+        ops.append(draw(st.sampled_from([READ, WRITE])))
+    cursor = None
+    if draw(st.booleans()):
+        # A non-fresh cursor: sometimes exactly where a row starts.
+        at = draw(
+            st.one_of(
+                st.sampled_from(sectors),
+                st.integers(min_value=0, max_value=1 << 20),
+            )
+        )
+        cursor = (at, draw(st.sampled_from([READ, WRITE])))
+    perms = draw(
+        st.lists(st.permutations(range(n)), min_size=1, max_size=4)
+    )
+    return kind, cursor, sectors, nbytes, ops, np.array(perms, dtype=np.int64)
+
+
+def _device(kind, cursor):
+    if kind == "ssd":
+        dev = SolidStateDrive()
+        if cursor is not None:
+            dev._last_write_end = cursor[0]
+            dev._last_read_end = cursor[0] + 8
+            dev.random_write_count = 3
+        return dev
+    spec = dataclasses.replace(
+        SEAGATE_7200_12, write_cache=(kind == "hdd-cache")
+    )
+    dev = HardDiskDrive(spec=spec)
+    if cursor is not None:
+        dev._head_sector = cursor[0] + 16
+        dev._last_end_sector = cursor[0]
+        dev._last_op = cursor[1]
+        dev.seek_count = 5
+    return dev
+
+
+def _state(dev):
+    names = _SSD_STATE if isinstance(dev, SolidStateDrive) else _HDD_STATE
+    return {name: getattr(dev, name) for name in names}
+
+
+def _scalar(kind, cursor, sectors, nbytes, ops, order):
+    """The event path's per-request loop: seconds, Watts, end state."""
+    dev = _device(kind, cursor)
+    out = [
+        dev._service(IOPackage(sectors[i], nbytes[i], ops[i]), 0.0)
+        for i in order.tolist()
+    ]
+    seconds = np.array([s for s, _ in out], dtype=np.float64)
+    watts = np.array([w for _, w in out], dtype=np.float64)
+    return seconds, watts, _state(dev)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_cases())
+def test_plan_matches_scalar_loop_and_service_times(case):
+    kind, cursor, sectors, nbytes, ops, perms = case
+    cols = [np.array(c, dtype=np.int64) for c in (sectors, nbytes, ops)]
+    dev = _device(kind, cursor)
+    plan = dev.prepare_service(*cols)
+
+    # (P, k): one serving order per row, each row its own sequence.
+    sec2d = plan.seconds(perms)
+    full2d = plan.full(perms)
+    assert _bits(full2d.seconds) == _bits(sec2d)
+    with pytest.raises(ValueError):
+        full2d.apply_state()
+    for i, order in enumerate(perms):
+        ref_s, ref_w, _ = _scalar(kind, cursor, sectors, nbytes, ops, order)
+        assert _bits(sec2d[i]) == _bits(ref_s)
+        assert _bits(full2d.watts[i]) == _bits(ref_w)
+
+    # 1-D: the same numbers plus the committed end state.
+    order = perms[0]
+    ref_s, ref_w, ref_state = _scalar(kind, cursor, sectors, nbytes, ops, order)
+    assert _bits(plan.seconds(order)) == _bits(ref_s)
+    svc = plan.full(order)
+    assert _bits(svc.seconds) == _bits(ref_s)
+    assert _bits(svc.watts) == _bits(ref_w)
+    twin = _device(kind, cursor)
+    vec = twin.service_times(*(c[order] for c in cols))
+    assert _bits(vec.seconds) == _bits(ref_s)
+    assert _bits(vec.watts) == _bits(ref_w)
+    assert _state(dev) == _state(_device(kind, cursor))  # preparing is pure
+    svc.apply_state()
+    vec.apply_state()
+    assert _state(dev) == ref_state
+    assert _state(twin) == ref_state
+
+
+def test_empty_plan():
+    for dev in (HardDiskDrive(), SolidStateDrive()):
+        empty = np.empty(0, dtype=np.int64)
+        before = _state(dev)
+        svc = dev.service_times(empty, empty, empty)
+        assert svc.seconds.size == 0 and svc.watts.size == 0
+        svc.apply_state()
+        assert _state(dev) == before

@@ -17,16 +17,18 @@ from repro.replay.session import replay_trace
 from repro.sim.kernel import (
     _chain_scalar,
     _lindley_scalar,
+    _merge_posts,
     _solve_lindley,
     _solve_link_chain,
 )
-from repro.storage.array import DiskArray
+from repro.storage.array import DiskArray, build_hdd_raid5
 from repro.storage.hdd import HardDiskDrive
 from repro.storage.raid import RaidLevel
 from repro.storage.specs import SEAGATE_7200_12
 from repro.storage.ssd import SolidStateDrive
 from repro.trace.packed import PACKED_PACKAGE_DTYPE, PackedTrace, pack
 from repro.trace.record import READ, WRITE, Bunch, IOPackage, Trace
+from repro.units import SECTOR_BYTES
 
 _NEG_INF = float("-inf")
 
@@ -94,6 +96,80 @@ class TestLinkChainSolver:
             gd, gl = _solve_link_chain(t, c, p * 1e-3, prev)
             assert np.array_equal(gd, ed)
             assert np.array_equal(gl, el)
+
+
+class TestPostMerge:
+    """The RMW fixpoint orders a member by merging its re-sorted post
+    writes into its dispatch-ordered fixed rows; the result must be the
+    full stable argsort of the member's arrival vector, exactly."""
+
+    @pytest.mark.parametrize("seed", [4, 9, 27])
+    def test_equals_full_stable_argsort(self, seed):
+        rng = np.random.default_rng(seed)
+        cross_ties = clean_rows = 0
+        for _ in range(40):
+            k = int(rng.integers(2, 40))
+            is_post = rng.random(k) < 0.4
+            fixed = np.flatnonzero(~is_post)
+            posts = np.flatnonzero(is_post)
+            rows = int(rng.integers(1, 4))
+            # A coarse grid of instants makes every kind of tie common:
+            # fixed/fixed, post/post, and fixed/post (the re-sort branch).
+            grid = 8 if rng.random() < 0.5 else 10**6
+            fixed_arr = np.sort(
+                rng.integers(0, grid, (rows, fixed.size)), axis=1
+            ) / 4.0
+            post_arr = rng.integers(0, grid, (rows, posts.size)) / 4.0
+            order, arrivals = _merge_posts(fixed_arr, post_arr, fixed, posts)
+            for i in range(rows):
+                a = np.empty(k)
+                a[fixed] = fixed_arr[i]
+                a[posts] = post_arr[i]
+                expect = np.argsort(a, kind="stable")
+                assert order[i].tolist() == expect.tolist()
+                assert arrivals[i].tolist() == a[expect].tolist()
+                if np.intersect1d(fixed_arr[i], post_arr[i]).size:
+                    cross_ties += 1
+                else:
+                    clean_rows += 1
+        assert cross_ties and clean_rows
+
+    def test_tied_barriers_refuse(self):
+        """Two RMW barriers that release at one instant put two flights'
+        post writes on member 0 at the same time; the event calendar
+        orders them by schedule sequence numbers, which the closed form
+        cannot reproduce, so the replay falls back.  Bunch 2's time was
+        bisected so that its barrier lands exactly on bunch 1's; one ulp
+        either way the kernel takes the replay."""
+        strip = 128 * 1024 // SECTOR_BYTES
+        tied = float.fromhex("0x1.dfe8f29b10bedp-8")
+
+        def run(t2, engine):
+            trace = pack(
+                Trace(
+                    [
+                        # Keeps member 3 (bunch 1's parity) busy, so
+                        # bunch 1's barrier is its parity pre read.
+                        Bunch(0.0, [IOPackage(5 * strip, 128 * 1024, READ)]),
+                        Bunch(1e-4, [IOPackage(8, 4096, WRITE)]),
+                        Bunch(t2, [IOPackage(3 * strip + 8, 4096, WRITE)]),
+                    ],
+                    label="tied-barriers",
+                )
+            )
+            result = replay_trace(trace, build_hdd_raid5(4), 1.0, engine=engine)
+            out = result.to_dict()
+            out["metadata"].pop("engine")
+            out["metadata"].pop("engine_fallback", None)
+            return result.metadata, out
+
+        meta, out = run(tied, "auto")
+        assert meta["engine"] == "event"
+        assert meta["engine_fallback"] == "tied sub-I/O arrival times"
+        for t2 in (np.nextafter(tied, 0.0), np.nextafter(tied, 1.0)):
+            meta, out = run(float(t2), "auto")
+            assert meta["engine"] == "kernel"
+            assert out == run(float(t2), "event")[1]
 
 
 # ---------------------------------------------------------------------------
