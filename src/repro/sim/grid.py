@@ -9,15 +9,16 @@ sort.  None of that depends on *when* requests arrive, only on *which*
 requests run against *which* factory-fresh device — and that is shared
 by every cell that differs only in its time scale.
 
-This module lifts the kernel's solvers to a leading parameter axis:
+This module runs the kernel's solvers over a leading parameter axis:
 
 * cells are grouped by load (same filtered row set), and the filter,
   CSR columns, capacity checks, stripe expansion, per-disk stable sort,
   and each member's prepared service plan are computed once per group;
-* the link chain and the per-disk Lindley recurrences run as one
-  ``(P, n)`` row-wise broadcast
-  (:func:`~repro.sim.kernel._solve_link_chain_grid` /
-  :func:`~repro.sim.kernel._solve_lindley_grid`), chunked over the
+* the link chain and the per-disk Lindley recurrences are solved for
+  ``(P, n)`` rows, one per cell, by the same solvers a single replay
+  calls with one row (:func:`~repro.sim.kernel._solve_link_chain` /
+  :func:`~repro.sim.kernel._solve_lindley`): every row keeps its own
+  busy runs in a flattened layout.  The face is chunked over the
   parameter axis to bound peak memory;
 * per-cell outputs are assembled through the *real* samplers —
   ``_perf_series``, :class:`~repro.power.analyzer.PowerAnalyzer`
@@ -68,9 +69,9 @@ from .kernel import (
     _power_windows,
     _prepare,
     _qualify_device,
-    _solve_lindley_grid,
+    _solve_lindley,
+    _solve_link_chain,
     _solve_two_phase,
-    _solve_link_chain_grid,
     _tick_boundaries,
 )
 
@@ -662,7 +663,7 @@ def _solve_single_chunk(
 ):
     """Batch-solve one chunk of cells against a single queued device."""
     batch = _member_batch(
-        device, submit2d, _solve_lindley_grid(submit2d, plan.seconds),
+        device, submit2d, _solve_lindley(submit2d, plan.seconds),
         plan.watts, cell_reason,
     )
     if all(r is not None for r in cell_reason):
@@ -697,7 +698,7 @@ def _solve_array_chunk(
     :class:`~repro.power.model.EnergyMeter`.
     """
     n_cells = submit2d.shape[0]
-    d2d, _link2d = _solve_link_chain_grid(
+    d2d, _link2d = _solve_link_chain(
         submit2d, link_overhead, payload, link_prev
     )
     arrivals2d = d2d[:, sub_flight]
@@ -709,7 +710,7 @@ def _solve_array_chunk(
             continue
         a2d = np.ascontiguousarray(arrivals2d[:, plan.rows])
         batch = _member_batch(
-            members[di], a2d, _solve_lindley_grid(a2d, plan.seconds),
+            members[di], a2d, _solve_lindley(a2d, plan.seconds),
             plan.watts, cell_reason,
         )
         sub_fin2d[:, plan.rows] = batch.fin2d
@@ -778,7 +779,7 @@ def _solve_array_chunk_rmw(
     commit their converged schedules: each member's Watts come from its
     prepared service plan evaluated on the per-cell serving orders.
     """
-    d2d, _link2d = _solve_link_chain_grid(
+    d2d, _link2d = _solve_link_chain(
         submit2d, link_overhead, payload, link_prev
     )
     two = _solve_two_phase(exp, rows, plans, d2d)

@@ -60,9 +60,11 @@ from ..trace.record import READ
 from ..units import SECTOR_BYTES
 from .engine import Simulator
 
-#: Segmented-solver refinement passes before falling back to the exact
-#: scalar loop (each pass only ever *adds* idle-start heads, so ten
-#: passes resolve all but adversarial arrival patterns).
+#: Segmented-solver refinement passes before a row falls back to the
+#: exact scalar loop.  Each pass only *adds* idle-start heads, and more
+#: heads only raise the evaluated finish times (``max`` and ``+`` are
+#: monotone), so the second pass finds no violation the first did not
+#: already turn into a head: two passes suffice and the cap is a guard.
 _MAX_PASSES = 10
 
 #: Two-phase RMW barrier fixpoint passes.  Each pass propagates one more
@@ -108,20 +110,25 @@ def _lindley_scalar(submit: np.ndarray, sv: np.ndarray, prev: float) -> np.ndarr
 
 
 def _eval_lindley_segments_loop(
-    submit: np.ndarray, sv: np.ndarray, heads: np.ndarray, prev: float
+    submit: np.ndarray, sv: np.ndarray, heads: np.ndarray,
+    prev: float, width: int,
 ) -> np.ndarray:
     """Per-segment reference evaluation (sequential over busy runs).
 
-    Each segment [a, b) is a busy run: its first request starts at
-    ``max(submit[a], previous finish)`` (exact selection) and the rest
-    chain by seeded cumulative sum — the same left-to-right additions
-    the scalar loop performs.
+    ``submit``/``sv`` hold rows of ``width`` requests back to back; the
+    idle-start positions ``heads`` include every row start.  Each
+    segment [a, b) is a busy run: its first request starts at
+    ``max(submit[a], previous finish)`` (exact selection; ``prev`` at a
+    row start) and the rest chain by seeded cumulative sum — the same
+    left-to-right additions the scalar loop performs.
     """
     n = submit.size
     f = np.empty(n, dtype=np.float64)
     cur = prev
     bounds = np.append(heads, n)
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if a % width == 0:
+            cur = prev
         sa = submit[a]
         seed = sa if sa > cur else cur
         f[a:b] = np.cumsum(np.concatenate(([seed], sv[a:b])))[1:]
@@ -146,39 +153,44 @@ _MAX_SWEEP_WAVES = 40
 
 
 def _eval_lindley_segments(
-    submit: np.ndarray, sv: np.ndarray, heads: np.ndarray, prev: float
+    submit: np.ndarray, sv: np.ndarray, heads: np.ndarray,
+    prev: float, width: int,
 ) -> np.ndarray:
     """Evaluate finish times given idle-start positions ``heads``.
 
-    Lightly loaded schedules split into tens of thousands of short busy
-    runs; evaluating them one Python-loop iteration apiece dominates the
+    Rows of ``width`` requests lie back to back and every row start is
+    a head (see :func:`_eval_lindley_segments_loop`).  Lightly loaded
+    schedules split into tens of thousands of short busy runs;
+    evaluating them one Python-loop iteration apiece dominates the
     solver.  Instead, sweep *by offset within segment*: seed every
     segment at its own ``submit[a]`` (the true seed whenever the head is
-    a genuine idle restart), then chain ``f[a + j] = f[a + j - 1] +
-    sv[a + j]`` for all segments at once, one vectorized step per
-    offset.  The additions and their dependency order are exactly the
-    per-segment cumsum's, so the values are bit-identical.  Heads whose
-    run actually merges with the previous one (``submit[a]`` below the
-    previous run's finish) are then re-seeded at ``max(submit[a],
-    previous finish)`` and re-swept — values only grow, and each wave
-    finalises the next segment of every merge chain, so the iteration
-    reaches the sequential evaluation's unique answer; if a pathological
-    chain outlives the wave cap, fall back to the sequential loop.
+    a genuine idle restart; ``max(submit[a], prev)`` at a row start),
+    then chain ``f[a + j] = f[a + j - 1] + sv[a + j]`` for all segments
+    at once, one vectorized step per offset.  The additions and their
+    dependency order are exactly the per-segment cumsum's, so the values
+    are bit-identical.  Heads whose run actually merges with the
+    previous one (``submit[a]`` below the previous run's finish) are
+    then re-seeded at ``max(submit[a], previous finish)`` and re-swept —
+    values only grow, and each wave finalises the next segment of every
+    merge chain, so the iteration reaches the sequential evaluation's
+    unique answer; if a pathological chain outlives the wave cap, fall
+    back to the sequential loop.  Row starts never take a seed from the
+    previous row's tail.
     """
     n = submit.size
     n_seg = heads.size
     if n_seg < _SWEEP_MIN_SEGMENTS:
-        return _eval_lindley_segments_loop(submit, sv, heads, prev)
+        return _eval_lindley_segments_loop(submit, sv, heads, prev, width)
     bounds = np.append(heads, n)
     lens = np.diff(bounds)
     long_seg = np.flatnonzero(lens > _SWEEP_MAX_LEN)
     if long_seg.size * 8 > n_seg:
-        return _eval_lindley_segments_loop(submit, sv, heads, prev)
+        return _eval_lindley_segments_loop(submit, sv, heads, prev, width)
 
     f = np.empty(n, dtype=np.float64)
-    seed = submit[heads].copy()
-    if not seed[0] > prev:
-        seed[0] = prev
+    first = np.flatnonzero(heads % width == 0)
+    seed = submit[heads]
+    seed[first] = np.maximum(seed[first], prev)
 
     def _sweep(sel: np.ndarray) -> None:
         """(Re)evaluate the selected segments from their current seeds."""
@@ -203,16 +215,22 @@ def _eval_lindley_segments(
             f[pos] = f[pos - 1] + sv[pos]
 
     _sweep(np.arange(n_seg))
-    tails = bounds[1:-1] - 1
+    tails = heads - 1
     for _ in range(_MAX_SWEEP_WAVES):
-        want = seed.copy()
-        np.maximum(submit[heads[1:]], f[tails], out=want[1:])
+        want = np.maximum(submit[heads], f[tails])
+        want[first] = seed[first]
         stale = np.flatnonzero(want != seed)
         if not stale.size:
             return f
         seed[stale] = want[stale]
         _sweep(stale)
-    return _eval_lindley_segments_loop(submit, sv, heads, prev)
+    return _eval_lindley_segments_loop(submit, sv, heads, prev, width)
+
+
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[idx]`` for sorted unique row indices, without a copy when
+    ``idx`` selects every row."""
+    return a if idx.size == a.shape[0] else a[idx]
 
 
 def _solve_lindley(
@@ -220,146 +238,75 @@ def _solve_lindley(
 ) -> np.ndarray:
     """Finish times of ``finish_k = max(submit_k, finish_{k-1}) + sv_k``.
 
-    Bit-identical to the scalar recurrence.  Two O(1)-pass fast paths
-    cover the common regimes (server never queues / server never
-    idles); otherwise idle-start heads are guessed from the arrival
-    slack and refined until the evaluation is self-consistent, which
-    by induction makes it exact.
-    """
-    n = submit.size
-    if n == 0:
-        return submit.astype(np.float64)
-    # Fully-idle: every request starts at its own submit time.
-    f_idle = submit + sv
-    if submit[0] >= prev and (n == 1 or bool(np.all(submit[1:] >= f_idle[:-1]))):
-        return f_idle
-    # Fully-busy: one seeded cumsum chain.
-    s0 = submit[0]
-    seed0 = s0 if s0 > prev else prev
-    f_busy = np.cumsum(np.concatenate(([seed0], sv)))[1:]
-    if bool(np.all(submit[1:] <= f_busy[:-1])):
-        return f_busy
-    # General: guess heads from arrival slack, refine to fixpoint.
-    approx = submit - np.concatenate(([0.0], np.cumsum(sv)[:-1]))
-    is_head = approx >= np.maximum.accumulate(approx)
-    is_head[0] = True
-    for _ in range(_MAX_PASSES):
-        heads = np.flatnonzero(is_head)
-        f = _eval_lindley_segments(submit, sv, heads, prev)
-        viol = np.flatnonzero(submit[1:] > f[:-1]) + 1
-        new = viol[~is_head[viol]]
-        if new.size == 0:
-            return f
-        is_head[new] = True
-    return _lindley_scalar(submit, sv, prev)
+    ``submit`` is ``(P, n)``: one independent FCFS queue per row, each
+    starting after ``prev`` (``P = 1`` for a single replay, one row per
+    grid cell in a fused sweep).  ``sv`` is one shared ``(n,)`` service
+    vector (service depends on request geometry and fresh device state,
+    never on arrival times) or ``(P, n)`` per-row service times (the RMW
+    fixpoint, where every row serves in its own order).
 
-
-def _eval_lindley_segments_grid(
-    submit: np.ndarray, sv: np.ndarray, heads: np.ndarray, prev: float
-) -> np.ndarray:
-    """Row-batched segment evaluation with *shared* head columns.
-
-    Every row is split at the same column positions.  A split at a
-    column where the row is actually mid-busy-run is harmless: the seed
-    ``max(submit[:, a], cur)`` resolves to ``cur`` there, and
-    ``cumsum([cur, sv_a, …])`` performs the identical left-to-right
-    additions the unsplit chain would — splitting a seeded cumsum is
-    bit-neutral.  Only *missing* a true idle restart changes results,
-    and the refinement loop in the caller catches those as violations.
-
-    ``sv`` is ``(n,)`` when every row shares one service vector or
-    ``(P, n)`` for per-row service times (the RMW grid path, where each
-    cell serves in its own order); a 1-D slice broadcasts into the
-    block exactly as the per-row copy would.
+    Every row is bit-identical to the scalar recurrence.  Two O(1)-pass
+    whole-row fast paths cover the common regimes (server never queues
+    / server never idles: one elementwise add, or one seeded row-wise
+    cumsum — a strict left-to-right chain per row).  The remaining rows
+    are laid out flat, row after row; each row's idle-start heads are
+    guessed from its own arrival slack, its start is a forced head, and
+    the heads are refined until the evaluation is self-consistent, which
+    by induction makes it exact.  A row still adding heads after
+    ``_MAX_PASSES`` takes the scalar loop.
     """
     n_rows, n = submit.shape
-    f = np.empty((n_rows, n), dtype=np.float64)
-    cur = np.full(n_rows, prev, dtype=np.float64)
-    bounds = np.append(heads, n)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        block = np.empty((n_rows, b - a + 1), dtype=np.float64)
-        np.maximum(submit[:, a], cur, out=block[:, 0])
-        block[:, 1:] = sv[..., a:b]
-        f[:, a:b] = np.cumsum(block, axis=1)[:, 1:]
-        cur = f[:, b - 1]
-    return f
-
-
-def _solve_lindley_grid(
-    submit: np.ndarray, sv: np.ndarray, prev: float = _NEG_INF
-) -> np.ndarray:
-    """Batched Lindley solver over a leading parameter axis.
-
-    ``submit`` is ``(P, n)`` — one row per grid cell.  ``sv`` is either
-    one shared ``(n,)`` service-time vector (the single-phase path:
-    service depends on request geometry and fresh device state, never
-    on arrival times) or a ``(P, n)`` matrix of per-row service times
-    (the RMW path, where each cell's serving order differs).  Rows are
-    independent; each row's result is bit-identical to
-    ``_solve_lindley(submit[i], sv_row, prev)``:
-
-    * the idle fast path is the same elementwise ``submit + sv`` (a
-      broadcast is still one add per element);
-    * the busy fast path seeds column 0 per row and runs
-      ``np.cumsum(axis=1)`` — ``add.accumulate`` along the last axis is
-      a strict left-to-right chain per row, the exact additions of the
-      1-D seeded cumsum;
-    * remaining rows are solved together: per-row head guesses are
-      unioned into one shared column set and refined to a fixpoint.
-      Shared extra splits are bit-neutral (see
-      :func:`_eval_lindley_segments_grid`), so a violation-free
-      evaluation equals the scalar recurrence on every row.
-    """
-    submit = np.ascontiguousarray(submit, dtype=np.float64)
-    n_cells, n = submit.shape
-    if n == 0 or n_cells == 0:
-        return submit.copy()
-    out = np.empty((n_cells, n), dtype=np.float64)
-    f_idle = submit + sv
-    ok_idle = submit[:, 0] >= prev
-    if n > 1:
-        ok_idle &= np.all(submit[:, 1:] >= f_idle[:, :-1], axis=1)
-    chain = np.empty((n_cells, n + 1), dtype=np.float64)
-    chain[:, 0] = np.maximum(submit[:, 0], prev)
-    chain[:, 1:] = sv
-    f_busy = np.cumsum(chain, axis=1)[:, 1:]
-    if n > 1:
-        ok_busy = np.all(submit[:, 1:] <= f_busy[:, :-1], axis=1)
-    else:
-        ok_busy = np.ones(n_cells, dtype=bool)
-    out[ok_idle] = f_idle[ok_idle]
-    busy_rows = ~ok_idle & ok_busy
-    out[busy_rows] = f_busy[busy_rows]
-    gen = np.flatnonzero(~ok_idle & ~ok_busy)
-    if gen.size == 0:
-        return out
-    sub = np.ascontiguousarray(submit[gen])
-    sv_gen = sv if sv.ndim == 1 else np.ascontiguousarray(sv[gen])
-    if sv.ndim == 1:
-        approx = sub - np.concatenate(([0.0], np.cumsum(sv)[:-1]))
-    else:
-        # Head guesses only pick split columns (splits are bit-neutral);
-        # subtracting the per-row running service sum mirrors the 1-D
-        # expression row by row.
-        approx = sub.copy()
-        approx[:, 1:] -= np.cumsum(sv_gen, axis=1)[:, :-1]
+    f = submit + sv
+    if n == 0:
+        return f
+    # Fully-idle rows: every request starts at its own submit time.
+    ok = (submit[:, 0] >= prev) & np.all(submit[:, 1:] >= f[:, :-1], axis=1)
+    rest = np.flatnonzero(~ok)
+    if not rest.size:
+        return f
+    sub = _rows(submit, rest)
+    sv_rest = sv if sv.ndim == 1 else _rows(sv, rest)
+    # Fully-busy rows: one seeded cumsum chain each.
+    chain = np.empty((rest.size, n + 1), dtype=np.float64)
+    np.maximum(sub[:, 0], prev, out=chain[:, 0])
+    chain[:, 1:] = sv_rest
+    busy = np.cumsum(chain, axis=1)[:, 1:]
+    ok = np.all(sub[:, 1:] <= busy[:, :-1], axis=1)
+    if ok.sum() == n_rows:
+        return busy
+    f[rest[ok]] = busy[ok]
+    gen = np.flatnonzero(~ok)
+    if not gen.size:
+        return f
+    # General rows: guess heads from arrival slack, refine to fixpoint.
+    sub = _rows(sub, gen)
+    sv_gen = sv if sv.ndim == 1 else _rows(sv_rest, gen)
+    approx = sub.copy()
+    approx[:, 1:] -= np.cumsum(sv_gen, axis=-1)[..., :-1]
     is_head = approx >= np.maximum.accumulate(approx, axis=1)
-    col_head = np.any(is_head, axis=0)
-    col_head[0] = True
+    is_head[:, 0] = True
+    is_head = is_head.ravel()
+    flat = sub.ravel()
+    if sv_gen.ndim == 1 and gen.size > 1:
+        flat_sv = np.tile(sv, gen.size)
+    else:
+        flat_sv = sv_gen.ravel()
     for _ in range(_MAX_PASSES):
-        heads = np.flatnonzero(col_head)
-        f = _eval_lindley_segments_grid(sub, sv_gen, heads, prev)
-        viol_cols = np.flatnonzero(np.any(sub[:, 1:] > f[:, :-1], axis=0)) + 1
-        new = viol_cols[~col_head[viol_cols]]
-        if new.size == 0:
-            out[gen] = f
-            return out
-        col_head[new] = True
-    for j, i in enumerate(gen.tolist()):
-        out[i] = _solve_lindley(
-            submit[i], sv if sv.ndim == 1 else sv_gen[j], prev
-        )
-    return out
+        heads = np.flatnonzero(is_head)
+        fg = _eval_lindley_segments(flat, flat_sv, heads, prev, n)
+        viol = np.flatnonzero(flat[1:] > fg[:-1]) + 1
+        new = viol[~is_head[viol]]
+        if not new.size:
+            break
+        is_head[new] = True
+    else:
+        for r in np.unique(new // n).tolist():
+            row = slice(r * n, (r + 1) * n)
+            fg[row] = _lindley_scalar(flat[row], flat_sv[row], prev)
+    if gen.size == n_rows:
+        return fg.reshape(n_rows, n)
+    f[rest[gen]] = fg.reshape(gen.size, n)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -382,78 +329,81 @@ def _chain_scalar(
     return d, link
 
 
-def _eval_chain_segments_loop(
-    t: np.ndarray, c: float, p: np.ndarray, heads: np.ndarray, prev: float
+def _chain_run(
+    seed: float, c: float, p: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-segment reference evaluation of the dispatch chain.
+    """Dispatch and link-free times of one busy run seeded at ``seed``.
 
-    A busy run interleaves the per-request overhead and payload additions
-    into one cumulative sum — element order ``seed, +c, +p_0, +c, +p_1…``
-    matches the event path's ``dispatch += overhead; link = dispatch +
-    payload`` exactly.
+    The run interleaves the per-request overhead and payload additions
+    into one cumulative sum — element order ``seed, +c, +p_0, +c,
+    +p_1…`` matches the event path's ``dispatch += overhead; link =
+    dispatch + payload`` exactly.
     """
+    arr = np.empty(2 * p.size + 1, dtype=np.float64)
+    arr[0] = seed
+    arr[1::2] = c
+    arr[2::2] = p
+    cs = np.cumsum(arr)
+    return cs[1::2], cs[2::2]
+
+
+def _eval_chain_segments_loop(
+    t: np.ndarray, c: float, p: np.ndarray, heads: np.ndarray,
+    prev: float, width: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-segment reference evaluation of the dispatch chain, over rows
+    laid out as in :func:`_eval_lindley_segments_loop`."""
     n = t.size
     d = np.empty(n, dtype=np.float64)
     link = np.empty(n, dtype=np.float64)
     cur = prev
     bounds = np.append(heads, n)
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if a % width == 0:
+            cur = prev
         ta = t[a]
         seed = ta if ta > cur else cur
-        m = b - a
-        arr = np.empty(2 * m + 1, dtype=np.float64)
-        arr[0] = seed
-        arr[1::2] = c
-        arr[2::2] = p[a:b]
-        cs = np.cumsum(arr)
-        d[a:b] = cs[1::2]
-        link[a:b] = cs[2::2]
+        d[a:b], link[a:b] = _chain_run(seed, c, p[a:b])
         cur = float(link[b - 1])
     return d, link
 
 
 def _eval_chain_segments(
-    t: np.ndarray, c: float, p: np.ndarray, heads: np.ndarray, prev: float
+    t: np.ndarray, c: float, p: np.ndarray, heads: np.ndarray,
+    prev: float, width: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate the dispatch chain given idle-link positions ``heads``.
 
-    Same offset-sweep scheme as :func:`_eval_lindley_segments` (which
-    see): segments are seeded independently at their own submit times
-    and chained one vectorized step per offset — ``d[k] = link[k - 1] +
-    c``; ``link[k] = d[k] + p[k]``, the interleaved cumsum's exact
-    additions — then heads that actually merge with the previous busy
-    run are re-seeded and re-swept until the evaluation is
-    self-consistent.
+    Same flat row layout and offset-sweep scheme as
+    :func:`_eval_lindley_segments` (which see): segments are seeded
+    independently at their own submit times and chained one vectorized
+    step per offset — ``d[k] = link[k - 1] + c``; ``link[k] = d[k] +
+    p[k]``, the interleaved cumsum's exact additions — then heads that
+    actually merge with the previous busy run are re-seeded and re-swept
+    until the evaluation is self-consistent.
     """
     n = t.size
     n_seg = heads.size
     if n_seg < _SWEEP_MIN_SEGMENTS:
-        return _eval_chain_segments_loop(t, c, p, heads, prev)
+        return _eval_chain_segments_loop(t, c, p, heads, prev, width)
     bounds = np.append(heads, n)
     lens = np.diff(bounds)
     long_seg = np.flatnonzero(lens > _SWEEP_MAX_LEN)
     if long_seg.size * 8 > n_seg:
-        return _eval_chain_segments_loop(t, c, p, heads, prev)
+        return _eval_chain_segments_loop(t, c, p, heads, prev, width)
 
     d = np.empty(n, dtype=np.float64)
     link = np.empty(n, dtype=np.float64)
-    seed = t[heads].copy()
-    if not seed[0] > prev:
-        seed[0] = prev
+    first = np.flatnonzero(heads % width == 0)
+    seed = t[heads]
+    seed[first] = np.maximum(seed[first], prev)
 
     def _sweep(sel: np.ndarray) -> None:
         if long_seg.size:
             is_long = lens[sel] > _SWEEP_MAX_LEN
             for si in sel[is_long].tolist():
                 a, b = int(bounds[si]), int(bounds[si + 1])
-                m = b - a
-                arr = np.empty(2 * m + 1, dtype=np.float64)
-                arr[0] = seed[si]
-                arr[1::2] = c
-                arr[2::2] = p[a:b]
-                cs = np.cumsum(arr)
-                d[a:b] = cs[1::2]
-                link[a:b] = cs[2::2]
+                d[a:b], link[a:b] = _chain_run(seed[si], c, p[a:b])
             sel = sel[~is_long]
             if not sel.size:
                 return
@@ -470,16 +420,16 @@ def _eval_chain_segments(
             link[pos] = d[pos] + p[pos]
 
     _sweep(np.arange(n_seg))
-    tails = bounds[1:-1] - 1
+    tails = heads - 1
     for _ in range(_MAX_SWEEP_WAVES):
-        want = seed.copy()
-        np.maximum(t[heads[1:]], link[tails], out=want[1:])
+        want = np.maximum(t[heads], link[tails])
+        want[first] = seed[first]
         stale = np.flatnonzero(want != seed)
         if not stale.size:
             return d, link
         seed[stale] = want[stale]
         _sweep(stale)
-    return _eval_chain_segments_loop(t, c, p, heads, prev)
+    return _eval_chain_segments_loop(t, c, p, heads, prev, width)
 
 
 def _solve_link_chain(
@@ -488,125 +438,63 @@ def _solve_link_chain(
     """Dispatch/link-free times of the array controller chain.
 
     ``d_k = max(t_k, link_{k-1}) + c``; ``link_k = d_k + p_k`` — the
-    arithmetic of :meth:`DiskArray.submit`, reproduced bit-for-bit.
-    """
-    n = t.size
-    if n == 0:
-        empty = t.astype(np.float64)
-        return empty, empty
-    d_idle = t + c
-    l_idle = d_idle + p
-    if t[0] >= prev and (n == 1 or bool(np.all(t[1:] >= l_idle[:-1]))):
-        return d_idle, l_idle
-    t0 = t[0]
-    seed0 = t0 if t0 > prev else prev
-    heads0 = np.zeros(1, dtype=np.int64)
-    d_busy, l_busy = _eval_chain_segments(t, c, p, heads0, prev)
-    if bool(np.all(t[1:] <= l_busy[:-1])):
-        return d_busy, l_busy
-    approx = t - np.concatenate(([0.0], np.cumsum(c + p)[:-1]))
-    is_head = approx >= np.maximum.accumulate(approx)
-    is_head[0] = True
-    for _ in range(_MAX_PASSES):
-        heads = np.flatnonzero(is_head)
-        d, link = _eval_chain_segments(t, c, p, heads, prev)
-        viol = np.flatnonzero(t[1:] > link[:-1]) + 1
-        new = viol[~is_head[viol]]
-        if new.size == 0:
-            return d, link
-        is_head[new] = True
-    return _chain_scalar(t, c, p, prev)
-
-
-def _eval_chain_segments_grid(
-    t: np.ndarray, c: float, p: np.ndarray, heads: np.ndarray, prev: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-batched dispatch-chain evaluation with *shared* head columns.
-
-    Same bit-neutral-split argument as
-    :func:`_eval_lindley_segments_grid`: a split where a row is
-    mid-busy-run seeds with ``cur`` and the interleaved cumsum
-    ``[cur, c, p_a, c, p_{a+1}, …]`` repeats the unsplit chain's
-    additions exactly.
+    arithmetic of :meth:`DiskArray.submit`, reproduced bit-for-bit on
+    every row of the ``(P, n)`` submit times ``t``.  The controller
+    overhead ``c`` and the ``(n,)`` payload serialisation times ``p``
+    are shared by all rows.  Same scheme as :func:`_solve_lindley`:
+    whole-row idle and busy fast paths (the busy path interleaves
+    ``seed, +c, +p_0, +c, +p_1…`` into one row-wise cumsum), then the
+    remaining rows laid out flat with per-row heads refined to a
+    fixpoint, and the scalar loop for a row that exhausts the passes.
     """
     n_rows, n = t.shape
-    d = np.empty((n_rows, n), dtype=np.float64)
-    link = np.empty((n_rows, n), dtype=np.float64)
-    cur = np.full(n_rows, prev, dtype=np.float64)
-    bounds = np.append(heads, n)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        m = b - a
-        arr = np.empty((n_rows, 2 * m + 1), dtype=np.float64)
-        np.maximum(t[:, a], cur, out=arr[:, 0])
-        arr[:, 1::2] = c
-        arr[:, 2::2] = p[a:b]
-        cs = np.cumsum(arr, axis=1)
-        d[:, a:b] = cs[:, 1::2]
-        link[:, a:b] = cs[:, 2::2]
-        cur = link[:, b - 1]
-    return d, link
-
-
-def _solve_link_chain_grid(
-    t: np.ndarray, c: float, p: np.ndarray, prev: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched link-chain solver over a leading parameter axis.
-
-    ``t`` is ``(P, n)`` submit times; ``c`` (controller overhead) and
-    ``p`` (per-request payload serialisation) are shared across rows.
-    Per row bit-identical to ``_solve_link_chain(t[i], c, p, prev)``:
-    the busy path interleaves ``seed, +c, +p_0, +c, +p_1…`` into one
-    ``(P, 2n + 1)`` row-wise cumsum, the same left-to-right additions
-    as the 1-D evaluator; general rows are solved together with a
-    shared, refined head-column union (extra splits are bit-neutral).
-    """
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    n_cells, n = t.shape
-    if n == 0 or n_cells == 0:
-        return t.copy(), t.copy()
-    d = np.empty((n_cells, n), dtype=np.float64)
-    link = np.empty((n_cells, n), dtype=np.float64)
-    d_idle = t + c
-    l_idle = d_idle + p
-    ok_idle = t[:, 0] >= prev
-    if n > 1:
-        ok_idle &= np.all(t[:, 1:] >= l_idle[:, :-1], axis=1)
-    arr = np.empty((n_cells, 2 * n + 1), dtype=np.float64)
-    arr[:, 0] = np.maximum(t[:, 0], prev)
+    d = t + c
+    link = d + p
+    if n == 0:
+        return d, link
+    ok = (t[:, 0] >= prev) & np.all(t[:, 1:] >= link[:, :-1], axis=1)
+    rest = np.flatnonzero(~ok)
+    if not rest.size:
+        return d, link
+    sub = _rows(t, rest)
+    arr = np.empty((rest.size, 2 * n + 1), dtype=np.float64)
+    np.maximum(sub[:, 0], prev, out=arr[:, 0])
     arr[:, 1::2] = c
     arr[:, 2::2] = p
     cs = np.cumsum(arr, axis=1)
-    d_busy = cs[:, 1::2]
-    l_busy = cs[:, 2::2]
-    if n > 1:
-        ok_busy = np.all(t[:, 1:] <= l_busy[:, :-1], axis=1)
-    else:
-        ok_busy = np.ones(n_cells, dtype=bool)
-    d[ok_idle] = d_idle[ok_idle]
-    link[ok_idle] = l_idle[ok_idle]
-    busy_rows = ~ok_idle & ok_busy
-    d[busy_rows] = d_busy[busy_rows]
-    link[busy_rows] = l_busy[busy_rows]
-    gen = np.flatnonzero(~ok_idle & ~ok_busy)
-    if gen.size == 0:
+    d_busy, l_busy = cs[:, 1::2], cs[:, 2::2]
+    ok = np.all(sub[:, 1:] <= l_busy[:, :-1], axis=1)
+    if ok.sum() == n_rows:
+        return d_busy, l_busy
+    d[rest[ok]] = d_busy[ok]
+    link[rest[ok]] = l_busy[ok]
+    gen = np.flatnonzero(~ok)
+    if not gen.size:
         return d, link
-    tg = np.ascontiguousarray(t[gen])
-    approx = tg - np.concatenate(([0.0], np.cumsum(c + p)[:-1]))
+    sub = _rows(sub, gen)
+    approx = sub.copy()
+    approx[:, 1:] -= np.cumsum(c + p)[:-1]
     is_head = approx >= np.maximum.accumulate(approx, axis=1)
-    col_head = np.any(is_head, axis=0)
-    col_head[0] = True
+    is_head[:, 0] = True
+    is_head = is_head.ravel()
+    flat = sub.ravel()
+    flat_p = p if gen.size == 1 else np.tile(p, gen.size)
     for _ in range(_MAX_PASSES):
-        heads = np.flatnonzero(col_head)
-        dg, lg = _eval_chain_segments_grid(tg, c, p, heads, prev)
-        viol_cols = np.flatnonzero(np.any(tg[:, 1:] > lg[:, :-1], axis=0)) + 1
-        new = viol_cols[~col_head[viol_cols]]
-        if new.size == 0:
-            d[gen] = dg
-            link[gen] = lg
-            return d, link
-        col_head[new] = True
-    for i in gen:
-        d[i], link[i] = _solve_link_chain(t[i], c, p, prev)
+        heads = np.flatnonzero(is_head)
+        dg, lg = _eval_chain_segments(flat, c, flat_p, heads, prev, n)
+        viol = np.flatnonzero(flat[1:] > lg[:-1]) + 1
+        new = viol[~is_head[viol]]
+        if not new.size:
+            break
+        is_head[new] = True
+    else:
+        for r in np.unique(new // n).tolist():
+            row = slice(r * n, (r + 1) * n)
+            dg[row], lg[row] = _chain_scalar(flat[row], c, flat_p[row], prev)
+    if gen.size == n_rows:
+        return dg.reshape(n_rows, n), lg.reshape(n_rows, n)
+    d[rest[gen]] = dg.reshape(gen.size, n)
+    link[rest[gen]] = lg.reshape(gen.size, n)
     return d, link
 
 
@@ -758,7 +646,7 @@ def _serve_fifo(
     """
     svc = plan.full(order)
     if fin is None:
-        fin = _solve_lindley(submit, svc.seconds)
+        fin = _solve_lindley(submit[None, :], svc.seconds)[0]
     if bool(np.any(np.diff(fin) < 0)):
         raise _Fallback(f"{dev.name}: non-monotone completion schedule")
     starts = np.maximum(submit, np.concatenate(([_NEG_INF], fin[:-1])))
@@ -933,14 +821,6 @@ def _put_rows(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
         np.put_along_axis(out, idx, values, axis=1)
 
 
-def _solve_lindley_rows(submit: np.ndarray, sv: np.ndarray) -> np.ndarray:
-    """:func:`_solve_lindley_grid`, with a single row going to the 1-D
-    solver (whose sweep evaluates many short busy runs faster)."""
-    if submit.shape[0] == 1:
-        return _solve_lindley(submit[0], sv[0])[None, :]
-    return _solve_lindley_grid(submit, sv)
-
-
 @dataclass
 class _TwoPhase:
     """The RMW fixpoint of ``P`` rows (cells).
@@ -1063,7 +943,7 @@ def _solve_two_phase(
             redo = ~np.all(o == m.order[sel], axis=1)
             if redo.any():
                 sec[redo] = m.plan.seconds(o[redo])
-            f = _solve_lindley_rows(a, sec)
+            f = _solve_lindley(a, sec)
             m.order[sel] = o
             m.arrivals[sel] = a
             m.seconds[sel] = sec
@@ -1120,8 +1000,9 @@ def _compute_array(trace: PackedTrace, device: DiskArray, t0: float) -> _Compute
     overhead = device.enclosure.controller_overhead
     payload = nbytes / device.enclosure.link_rate
     dispatch, link = _solve_link_chain(
-        submit, overhead, payload, device._link_busy_until
+        submit[None, :], overhead, payload, device._link_busy_until
     )
+    dispatch, link = dispatch[0], link[0]
 
     exp = _expand_subios(geom, sectors, nbytes, ops)
     total = exp.total

@@ -40,6 +40,10 @@ _SHARED_TRACE = None
 #: (kept referenced so the mapped pages outlive the arrays).
 _SHARED_BLOCKS: List[Any] = []
 
+#: ``parallel="auto"`` pools a sweep only from this many points on;
+#: smaller sweeps never amortise worker startup.
+_MIN_POOL_POINTS = 4
+
 
 def get_shared_trace():
     """The sweep's published trace (inside a worker or a serial run).
@@ -73,8 +77,7 @@ def _use_pool(parallel, n_points: int, kernel_eligible=None) -> bool:
             return False
         if (os.cpu_count() or 1) <= 1:
             return False
-        floor = int(os.environ.get("TRACER_SWEEP_MIN_POOL_POINTS", "4"))
-        return n_points >= floor
+        return n_points >= _MIN_POOL_POINTS
     return bool(parallel)
 
 
@@ -138,7 +141,7 @@ def run_sweep(
     ``parallel`` may be ``True`` (always pool), ``False`` (always
     serial, in-process) or ``"auto"``: pool only when the host has more
     than one core and the sweep is large enough to amortise worker
-    startup (``TRACER_SWEEP_MIN_POOL_POINTS``, default 4) — the fix for
+    startup (``_MIN_POOL_POINTS`` = 4 points or more) — the fix for
     small kernel-eligible sweeps paying fork+pickle for nothing.
     ``kernel_eligible=True`` (typically the verdict of
     :func:`kernel_sweep_eligible`) tells ``"auto"`` the points resolve

@@ -6,9 +6,9 @@ The contract under test: every cell of a :func:`repro.workload.parallel
 :func:`~repro.replay.session.replay_trace` loop — fused cells against
 forced ``engine="kernel"`` replay, declined cells against the same
 ``engine`` setting the grid was given (so fallback metadata matches a
-serial sweep exactly).  The batched solvers are additionally pinned
-against their 1-D references row by row, including rows forced down the
-shared-head general path.
+serial sweep exactly).  The ``(P, n)`` solvers are additionally pinned
+row by row against their scalar references and against single-row
+solves, including rows forced down the general per-row-heads path.
 """
 
 import dataclasses
@@ -21,10 +21,10 @@ from repro.config import ReplayConfig
 from repro.errors import ReplayError
 from repro.replay.session import replay_trace
 from repro.sim.kernel import (
+    _chain_scalar,
+    _lindley_scalar,
     _solve_lindley,
-    _solve_lindley_grid,
     _solve_link_chain,
-    _solve_link_chain_grid,
 )
 from repro.storage.array import DiskArray
 from repro.storage.hdd import HardDiskDrive
@@ -52,7 +52,7 @@ def _telemetry_off():
 
 
 # ---------------------------------------------------------------------------
-# Batched solvers vs their 1-D references, row by row
+# Batched solves vs the scalar references and single-row solves
 
 
 def _row_matrix(rng, n, n_rows):
@@ -68,39 +68,55 @@ def _row_matrix(rng, n, n_rows):
     yield np.outer(scales, burst), rng.random(n) * 0.4   # tied submits
 
 
+def _check_lindley(submit, sv, prev):
+    """Each row of one ``(P, n)`` solve equals the scalar recurrence and
+    the same row solved alone."""
+    got = _solve_lindley(submit, sv, prev)
+    for i in range(submit.shape[0]):
+        sv_i = sv if sv.ndim == 1 else sv[i]
+        expect = _lindley_scalar(submit[i], sv_i, prev)
+        assert np.array_equal(got[i], expect), f"row {i}"
+        alone = _solve_lindley(submit[i:i + 1], sv_i, prev)[0]
+        assert np.array_equal(alone, expect), f"row {i}"
+
+
+def _check_chain(t, c, p, prev):
+    gd, gl = _solve_link_chain(t, c, p, prev)
+    for i in range(t.shape[0]):
+        ed, el = _chain_scalar(t[i], c, p, prev)
+        assert np.array_equal(gd[i], ed), f"row {i}"
+        assert np.array_equal(gl[i], el), f"row {i}"
+        ad, al = _solve_link_chain(t[i:i + 1], c, p, prev)
+        assert np.array_equal(ad[0], ed), f"row {i}"
+        assert np.array_equal(al[0], el), f"row {i}"
+
+
 class TestGridLindleySolver:
     @pytest.mark.parametrize("seed", [3, 17, 59])
     @pytest.mark.parametrize("prev", [_NEG_INF, 2.5])
     def test_rows_bit_identical_to_1d_solver(self, seed, prev):
         rng = np.random.default_rng(seed)
         for submit, sv in _row_matrix(rng, 193, 9):
-            got = _solve_lindley_grid(submit, sv, prev)
-            for i in range(submit.shape[0]):
-                expect = _solve_lindley(submit[i], sv, prev)
-                assert np.array_equal(got[i], expect), f"row {i}"
+            _check_lindley(submit, sv, prev)
+            # Per-row service times, as the RMW fixpoint passes them.
+            _check_lindley(submit, sv * (0.5 + rng.random(submit.shape)), prev)
 
     def test_general_path_rows(self):
         """Rows engineered to defeat both fast paths (idle gap in the
         middle, saturation elsewhere) must still match bit for bit —
-        this exercises the shared head-column union and refinement."""
+        this exercises the per-row heads and their refinement."""
         rng = np.random.default_rng(41)
         n = 128
         submit = np.cumsum(rng.random((7, n)) * 0.2, axis=1)
         submit[:, n // 2:] += 50.0  # idle restart mid-trace on every row
         sv = rng.random(n) * 0.3
-        got = _solve_lindley_grid(submit, sv, 0.0)
-        for i in range(7):
-            assert np.array_equal(got[i], _solve_lindley(submit[i], sv, 0.0))
+        _check_lindley(submit, sv, 0.0)
 
     def test_degenerate_shapes(self):
         empty = np.empty((3, 0), dtype=np.float64)
-        assert _solve_lindley_grid(empty, np.empty(0)).shape == (3, 0)
-        one = np.array([[2.0], [0.5]])
-        got = _solve_lindley_grid(one, np.array([0.25]), 1.0)
-        for i in range(2):
-            assert np.array_equal(
-                got[i], _solve_lindley(one[i], np.array([0.25]), 1.0)
-            )
+        assert _solve_lindley(empty, np.empty(0)).shape == (3, 0)
+        assert _solve_lindley(np.empty((0, 4)), np.ones(4)).shape == (0, 4)
+        _check_lindley(np.array([[2.0], [0.5]]), np.array([0.25]), 1.0)
 
 
 class TestGridLinkChainSolver:
@@ -108,13 +124,8 @@ class TestGridLinkChainSolver:
     @pytest.mark.parametrize("prev", [_NEG_INF, 1.0])
     def test_rows_bit_identical_to_1d_solver(self, seed, prev):
         rng = np.random.default_rng(seed)
-        c = 5e-5
         for t, p in _row_matrix(rng, 161, 8):
-            gd, gl = _solve_link_chain_grid(t, c, p * 1e-3, prev)
-            for i in range(t.shape[0]):
-                ed, el = _solve_link_chain(t[i], c, p * 1e-3, prev)
-                assert np.array_equal(gd[i], ed), f"row {i}"
-                assert np.array_equal(gl[i], el), f"row {i}"
+            _check_chain(t, 5e-5, p * 1e-3, prev)
 
     def test_general_path_rows(self):
         rng = np.random.default_rng(43)
@@ -122,12 +133,7 @@ class TestGridLinkChainSolver:
         t = np.cumsum(rng.random((6, n)) * 1e-4, axis=1)
         t[:, n // 3:] += 2.0
         t[:, 2 * n // 3:] += 2.0
-        p = rng.random(n) * 1e-3
-        gd, gl = _solve_link_chain_grid(t, 5e-5, p, 0.0)
-        for i in range(6):
-            ed, el = _solve_link_chain(t[i], 5e-5, p, 0.0)
-            assert np.array_equal(gd[i], ed)
-            assert np.array_equal(gl[i], el)
+        _check_chain(t, 5e-5, rng.random(n) * 1e-3, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The differential oracle (`tests/property/test_differential_oracle.py`)
 proves result-level bit-identity against the event engine; these tests
-pin the kernel's internals — the exact Lindley / link-chain solvers
-against their scalar references, the fallback reasons `auto` records,
+pin the kernel's internals — the exact Lindley / link-chain solvers,
+row by row, against their scalar references, the fallback reasons `auto` records,
 and the committed *device* end state (timelines, cursors, counters),
 which the result JSON alone cannot see.
 """
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.replay.session import replay_trace
+from repro.sim import kernel
 from repro.sim.kernel import (
     _chain_scalar,
     _lindley_scalar,
@@ -64,25 +65,44 @@ def _regimes(rng, n):
     yield burst, rng.random(n) * 0.4            # tied submits, idle gaps
 
 
+def _assert_lindley_rows(submit, sv, prev):
+    """Every row of the ``(P, n)`` solve equals the scalar recurrence."""
+    got = _solve_lindley(submit, sv, prev)
+    assert got.shape == submit.shape
+    for i, row in enumerate(submit):
+        expect = _lindley_scalar(row, sv if sv.ndim == 1 else sv[i], prev)
+        assert np.array_equal(got[i], expect), f"row {i}"
+
+
+def _assert_chain_rows(t, c, p, prev):
+    gd, gl = _solve_link_chain(t, c, p, prev)
+    assert gd.shape == gl.shape == t.shape
+    for i, row in enumerate(t):
+        ed, el = _chain_scalar(row, c, p, prev)
+        assert np.array_equal(gd[i], ed), f"row {i}"
+        assert np.array_equal(gl[i], el), f"row {i}"
+
+
 class TestLindleySolver:
     @pytest.mark.parametrize("seed", [1, 7, 19, 83])
     @pytest.mark.parametrize("prev", [_NEG_INF, 2.5])
     def test_bit_identical_to_scalar_reference(self, seed, prev):
         rng = np.random.default_rng(seed)
-        for submit, sv in _regimes(rng, 257):
-            expect = _lindley_scalar(submit, sv, prev)
-            got = _solve_lindley(submit, sv, prev)
-            assert np.array_equal(got, expect)
+        regimes = list(_regimes(rng, 257))
+        for submit, sv in regimes:
+            _assert_lindley_rows(submit[None, :], sv, prev)
+        # The four regimes as rows of one call, each with its own
+        # service times.
+        _assert_lindley_rows(
+            np.stack([t for t, _ in regimes]),
+            np.stack([sv for _, sv in regimes]),
+            prev,
+        )
 
     def test_empty_and_singleton(self):
-        empty = np.empty(0, dtype=np.float64)
-        assert _solve_lindley(empty, empty).size == 0
-        one_t = np.array([3.0])
-        one_s = np.array([0.25])
-        assert np.array_equal(
-            _solve_lindley(one_t, one_s, 5.0),
-            _lindley_scalar(one_t, one_s, 5.0),
-        )
+        empty = np.empty((1, 0), dtype=np.float64)
+        assert _solve_lindley(empty, empty[0]).shape == (1, 0)
+        _assert_lindley_rows(np.array([[3.0]]), np.array([0.25]), 5.0)
 
 
 class TestLinkChainSolver:
@@ -90,12 +110,128 @@ class TestLinkChainSolver:
     @pytest.mark.parametrize("prev", [_NEG_INF, 1.0])
     def test_bit_identical_to_scalar_reference(self, seed, prev):
         rng = np.random.default_rng(seed)
-        c = 5e-5
         for t, p in _regimes(rng, 193):
-            ed, el = _chain_scalar(t, c, p * 1e-3, prev)
-            gd, gl = _solve_link_chain(t, c, p * 1e-3, prev)
-            assert np.array_equal(gd, ed)
-            assert np.array_equal(gl, el)
+            _assert_chain_rows(t[None, :], 5e-5, p * 1e-3, prev)
+
+
+def _ragged_rows(n):
+    """Rows that take every path of the solvers at once.
+
+    With a finite ``prev`` (the server busy until then) and service
+    ``0.01``: an idle row, a saturated row, a row of ``n`` one-request
+    busy runs whose first ~20 merge into the busy period ``prev`` leaves
+    (repair waves when ``n`` reaches the offset sweep), and a
+    late-ending row followed by an early-starting one — the second
+    row's start must not chain from the first row's tail.
+    """
+    k = np.arange(n, dtype=np.float64)
+    half = k < n // 2
+    return np.stack(
+        [
+            100.0 + k,                                  # idle
+            k * 1e-3,                                   # saturated
+            k,                                          # merging runs
+            np.where(half, k, 990.0 + k * 1e-4),        # late busy tail
+            np.where(half, k * 5e-3, 50.0 + k),         # early busy head
+        ]
+    )
+
+
+def _rounding_heads_row(sv, step):
+    """Arrivals that alternate between one ulp after the running finish
+    (an idle restart) and a tie with the previous arrival (a queued
+    request), where ``finish = step(start, sv_k)``.  The arrival-slack
+    guess misses some of those restarts to rounding, so the solver needs
+    a second refinement pass."""
+    submit = np.empty(sv.size)
+    cur = 0.5
+    for i, s in enumerate(sv.tolist()):
+        if i == 0:
+            submit[i] = cur
+        elif i % 2:
+            submit[i] = np.nextafter(cur, np.inf)
+        else:
+            submit[i] = submit[i - 1]
+        cur = step(max(float(submit[i]), cur), s)
+    return submit
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap the named kernel functions to count the calls the solvers
+    make to them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapped(*args, _name=name, _fn=getattr(kernel, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(kernel, name, wrapped)
+    return calls
+
+
+class TestRaggedRows:
+    """``(P, n)`` solves whose rows sit in different regimes; each row
+    must match its scalar reference bit for bit."""
+
+    @pytest.mark.parametrize("n", [40, 600])
+    @pytest.mark.parametrize("per_row_sv", [False, True])
+    @pytest.mark.parametrize("prev", [_NEG_INF, 20.0])
+    def test_lindley_rows(self, n, per_row_sv, prev):
+        submit = _ragged_rows(n)
+        sv = np.full(n, 0.01)
+        if per_row_sv:
+            rng = np.random.default_rng(n)
+            sv = 0.01 + rng.random(submit.shape) * 1e-3
+        _assert_lindley_rows(submit, sv, prev)
+
+    @pytest.mark.parametrize("n", [40, 600])
+    @pytest.mark.parametrize("prev", [_NEG_INF, 20.0])
+    def test_link_chain_rows(self, n, prev):
+        _assert_chain_rows(_ragged_rows(n), 5e-5, np.full(n, 0.01), prev)
+
+    def test_merging_runs_repair_in_the_sweep(self, monkeypatch):
+        """≥256 short busy runs, the first ~20 merging: the offset
+        sweep's repair waves resolve them without the sequential loop."""
+        def no_loop(*args):
+            raise AssertionError("sequential loop used")
+
+        monkeypatch.setattr(kernel, "_eval_lindley_segments_loop", no_loop)
+        monkeypatch.setattr(kernel, "_eval_chain_segments_loop", no_loop)
+        submit = _ragged_rows(600)[2:]
+        f = _solve_lindley(submit, np.full(600, 0.01), 20.0)
+        assert f[0, 19] > submit[0, 19] + 0.01  # the merge happened
+        _assert_lindley_rows(submit, np.full(600, 0.01), 20.0)
+        _assert_chain_rows(submit, 5e-5, np.full(600, 0.01), 20.0)
+
+    def test_merge_chain_past_wave_cap_takes_the_loop(self, monkeypatch):
+        """``prev`` keeps the server busy across ~100 one-request runs,
+        a merge chain longer than ``_MAX_SWEEP_WAVES``."""
+        calls = _count_calls(
+            monkeypatch, "_eval_lindley_segments_loop",
+            "_eval_chain_segments_loop",
+        )
+        submit = _ragged_rows(600)
+        assert 100 > kernel._MAX_SWEEP_WAVES
+        _assert_lindley_rows(submit, np.full(600, 0.01), 100.0)
+        _assert_chain_rows(submit, 5e-5, np.full(600, 0.01), 100.0)
+        assert all(calls.values())
+
+    def test_pass_cap_takes_the_scalar_loop(self, monkeypatch):
+        """A row whose heads need a second refinement pass, under a
+        one-pass cap, goes to the scalar recurrence; its neighbour
+        converges in one pass and stays on the segmented path."""
+        rng = np.random.default_rng(15)
+        n = 200
+        sv = rng.random(n) * 3.0
+        c = 5e-5
+        late = _rounding_heads_row(sv, lambda t, s: t + s)
+        late_chain = _rounding_heads_row(sv, lambda t, s: (t + c) + s)
+        steady = np.cumsum(rng.random(n) * 2.0)
+        calls = _count_calls(monkeypatch, "_lindley_scalar", "_chain_scalar")
+        monkeypatch.setattr(kernel, "_MAX_PASSES", 1)
+        _assert_lindley_rows(np.stack([steady, late]), sv, _NEG_INF)
+        _assert_chain_rows(np.stack([steady, late_chain]), c, sv, _NEG_INF)
+        assert calls == {"_lindley_scalar": 1, "_chain_scalar": 1}
 
 
 class TestPostMerge:
