@@ -50,6 +50,7 @@ import numpy as np
 
 from ..errors import ReplayError
 from ..power.analyzer import PowerAnalyzer
+from ..power.model import EnergyMeter
 
 __all__ = [
     "Policy",
@@ -191,24 +192,6 @@ class PowerProgram:
     @property
     def total_energy(self) -> float:
         return float(self._cum[-1])
-
-
-class _ProgramMeter:
-    """``EnergyMeter``-shaped source over policy power programs."""
-
-    __slots__ = ("programs", "overhead_watts")
-
-    def __init__(
-        self, programs: List[PowerProgram], overhead_watts: float
-    ) -> None:
-        self.programs = programs
-        self.overhead_watts = overhead_watts
-
-    def energy_between(self, t0: float, t1: float) -> float:
-        total = self.overhead_watts * (t1 - t0)
-        for program in self.programs:
-            total += program.energy_between(t0, t1)
-        return total
 
 
 @dataclass(frozen=True)
@@ -454,7 +437,7 @@ class AnalyticPolicy:
         overhead = (
             capture.overhead_watts if capture.overhead_watts is not None else 0.0
         )
-        meter = _ProgramMeter(
+        meter = EnergyMeter(
             [m.program for m in build.members] + build.extras, overhead
         )
         end = capture.end

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
 from ..errors import PowerAnalyzerError
+
+if TYPE_CHECKING:
+    from .analyzer import EnergySource
 
 
 class PowerTimeline:
@@ -233,9 +236,14 @@ class EnergyMeter:
 
     A disk array's power is the sum of its disks' timelines plus the
     non-disk components (controller, fans, backplane) — Section VI-A.
+    ``energy_between`` needs only each timeline's own
+    ``energy_between``, so any energy source works there: the fused
+    grid's frozen timelines, a policy's power programs.
     """
 
-    def __init__(self, timelines: List[PowerTimeline], overhead_watts: float = 0.0):
+    def __init__(
+        self, timelines: Sequence["EnergySource"], overhead_watts: float = 0.0
+    ):
         if overhead_watts < 0:
             raise PowerAnalyzerError(
                 f"overhead power must be >= 0, got {overhead_watts}"

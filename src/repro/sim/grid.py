@@ -9,23 +9,26 @@ sort.  None of that depends on *when* requests arrive, only on *which*
 requests run against *which* factory-fresh device — and that is shared
 by every cell that differs only in its time scale.
 
-This module runs the kernel's solvers over a leading parameter axis:
+A single replay and a grid cell take the same path through the
+kernel; the grid only feeds it more rows:
 
-* cells are grouped by load (same filtered row set), and the filter,
-  CSR columns, capacity checks, stripe expansion, per-disk stable sort,
-  and each member's prepared service plan are computed once per group;
-* the link chain and the per-disk Lindley recurrences are solved for
-  ``(P, n)`` rows, one per cell, by the same solvers a single replay
-  calls with one row (:func:`~repro.sim.kernel._solve_link_chain` /
-  :func:`~repro.sim.kernel._solve_lindley`): every row keeps its own
-  busy runs in a flattened layout.  The face is chunked over the
-  parameter axis to bound peak memory;
-* per-cell outputs are assembled through the *real* samplers —
-  ``_perf_series``, :class:`~repro.power.analyzer.PowerAnalyzer`
-  windows, ``_frame_series`` — fed by a frozen energy source that
-  reproduces :class:`~repro.power.model.PowerTimeline` arithmetic from
-  the batch arrays, so no per-cell device is ever constructed or
-  mutated.
+* cells are grouped by load (same filtered row set), and the group is
+  prepared once against the factory-fresh probe device by
+  :func:`~repro.sim.kernel._prepare_plane` — CSR columns, capacity
+  checks, stripe expansion, per-disk rows and each member's service
+  plan;
+* :func:`~repro.sim.kernel._solve_plane` solves the link chain, the
+  per-disk queues (Lindley, or the RAID-5 read-modify-write fixpoint)
+  and the flight completions for ``(P, n)`` submit rows, one per cell —
+  the solve a single replay runs with one row.  The face is chunked
+  over the parameter axis to bound peak memory;
+* instead of committing a row to a live device, each cell is frozen:
+  its member schedules become :class:`_FrozenTimeline` power columns
+  that reproduce :class:`~repro.power.model.PowerTimeline` arithmetic,
+  summed by a real :class:`~repro.power.model.EnergyMeter`, and the
+  kernel's one assembler (:func:`~repro.sim.kernel._assemble`) runs the
+  real samplers over them — so no per-cell device is ever constructed
+  or mutated.
 
 **Bit-identity is inherited from the kernel's contract**: every cell's
 :class:`~repro.replay.results.ReplayResult` equals what
@@ -44,42 +47,33 @@ The public sweep API wrapping this module is
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..config import ReplayConfig
 from ..core.timescale import TimeScaler
 from ..errors import ReplayError
-from ..power.analyzer import PowerAnalyzer
+from ..power.model import EnergyMeter
 from ..storage.array import DiskArray
-from ..storage.base import QueuedDevice, ServicePlan, StorageDevice
+from ..storage.base import StorageDevice
 from ..trace.packed import PackedTrace
-from ..units import SECTOR_BYTES
 from .kernel import (
-    KernelOutcome,
-    _Computed,
+    _EMPTY,
     _Fallback,
-    _NEG_INF,
-    _columns,
-    _expand_subios,
-    _frame_series,
-    _member_rows,
-    _perf_series,
-    _power_windows,
-    _prepare,
+    _assemble,
+    _bunch_times,
+    _prepare_plane,
     _qualify_device,
-    _solve_lindley,
-    _solve_link_chain,
-    _solve_two_phase,
-    _tick_boundaries,
+    _queued,
+    _sampling_bounds,
+    _solve_plane,
 )
 
 #: Default peak-memory budget for the batched solve; the parameter axis
 #: is chunked so one chunk's working set stays under this many bytes.
 DEFAULT_CHUNK_BYTES = 256 * 1024 * 1024
 
-_EMPTY = np.empty(0, dtype=np.float64)
 _CUM_SEED = np.zeros(1, dtype=np.float64)
 
 
@@ -167,80 +161,6 @@ class _FrozenTimeline:
             return 0.0
         base = self.base_watts * (t1 - t0)
         return base + self._excess_upto(t1) - self._excess_upto(t0)
-
-
-class _FrozenMeter:
-    """``EnergyMeter`` arithmetic over frozen timelines.
-
-    The member order and the sequential Python-float accumulation match
-    the real meter — including members that served nothing, whose
-    timelines still contribute their baseline integral in place.
-    """
-
-    __slots__ = ("timelines", "overhead_watts")
-
-    def __init__(
-        self, timelines: List[_FrozenTimeline], overhead_watts: float
-    ) -> None:
-        self.timelines = timelines
-        self.overhead_watts = overhead_watts
-
-    def energy_between(self, t0: float, t1: float) -> float:
-        total = self.overhead_watts * (t1 - t0)
-        for timeline in self.timelines:
-            total += timeline.energy_between(t0, t1)
-        return total
-
-
-def _noop() -> None:
-    return None
-
-
-def _shared_plan(
-    member: QueuedDevice, rows: np.ndarray, sp: ServicePlan
-) -> "_MemberPlan":
-    """``member``'s plan-order service, shared by every cell of a group."""
-    svc = sp.full(np.arange(rows.size))
-    return _MemberPlan(
-        rows, svc.seconds, svc.watts, member.timeline._base_watts[0]
-    )
-
-
-@dataclass
-class _MemberPlan:
-    """One member disk's shared (time-independent) service plan on the
-    single-phase path, where every cell serves in plan order."""
-
-    rows: np.ndarray  # sub-I/O indices served by this disk, plan order
-    seconds: np.ndarray
-    watts: np.ndarray
-    base_watts: float
-
-
-@dataclass
-class _MemberBatch:
-    """One member's solved schedule for a chunk of cells (columns empty
-    when the member served nothing).
-
-    Columns are in the member's *serving* (arrival) order.  On the
-    read/single-phase path that order is shared by every cell, so one
-    ``(k,)`` ``watts`` row serves the whole chunk; on the RMW path each
-    cell may serve in a different order and ``watts`` is ``(P, k)``.
-    """
-
-    starts2d: np.ndarray  # (P, k) segment starts, serving order
-    fin2d: np.ndarray  # (P, k) segment ends
-    watts: np.ndarray  # (k,) shared across cells, or (P, k) per cell
-    cum2d: np.ndarray  # (P, k + 1) seeded excess prefix sums
-    base_watts: float
-    submit2d: np.ndarray  # (P, k) member arrival instants
-
-    @property
-    def served(self) -> bool:
-        return self.fin2d.size > 0
-
-    def cell_watts(self, i: int) -> np.ndarray:
-        return self.watts if self.watts.ndim == 1 else self.watts[i]
 
 
 def evaluate_grid_cells(
@@ -331,11 +251,7 @@ def _evaluate_group(
     if reason is not None:
         refuse(reason)
         return
-
-    is_array = isinstance(device, DiskArray)
-    members: List[QueuedDevice] = (
-        list(device.disks) if is_array else [device]  # type: ignore[list-item]
-    )
+    members = device.disks if isinstance(device, DiskArray) else [device]
     for member in members:
         timeline = member.timeline
         if (
@@ -345,46 +261,11 @@ def _evaluate_group(
         ):
             refuse("probe device not factory-fresh")
             return
-
-    # ---- Shared (time-independent) computation, once per group. ----
-    plans: List[Optional[_MemberPlan]] = []
+    # The time-independent half, once per group: every cell of a group
+    # replays the same filtered rows against the same fresh device.
     try:
-        times = 0.0 + (base.timestamps - base.timestamps[0])
-        if times.size > 1 and bool(np.any(np.diff(times) < 0)):
-            raise _Fallback("unsorted bunch timestamps reorder dispatch")
-        sectors, nbytes, ops = _columns(base)
-        if is_array:
-            geom = device.geometry
-            end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
-            if int(end_sectors.max()) > geom.capacity_sectors:
-                raise _Fallback("request beyond array capacity")
-            link_overhead = device.enclosure.controller_overhead
-            link_prev = device._link_busy_until
-            payload = nbytes / device.enclosure.link_rate
-            exp = _expand_subios(geom, sectors, nbytes, ops)
-            total = exp.total
-            rmw = exp.has_pre
-            rows = _member_rows(exp, len(members))
-            service: List[Optional[ServicePlan]] = []
-            for disk, r in zip(members, rows):
-                sp = None
-                if r.size:
-                    sp = _prepare(disk, exp.sector[r], exp.nbytes[r], exp.op[r])
-                    if int(sp.end_sectors.max()) > disk.capacity_sectors:
-                        raise _Fallback(f"{disk.name}: request beyond capacity")
-                # On the RMW path the serving order — and with it the
-                # seek/stream-dependent service seconds — varies per
-                # cell: the chunk solver evaluates the plans per order.
-                if rmw:
-                    service.append(sp)
-                else:
-                    plans.append(None if sp is None else _shared_plan(disk, r, sp))
-        else:
-            sp = _prepare(device, sectors, nbytes, ops)  # type: ignore[arg-type]
-            if int(sp.end_sectors.max()) > device.capacity_sectors:
-                raise _Fallback(f"{device.name}: request beyond capacity")
-            rows_all = np.arange(nbytes.size)
-            plans.append(_shared_plan(device, rows_all, sp))  # type: ignore[arg-type]
+        _bunch_times(base, 0.0)
+        plane = _prepare_plane(base, device)
     except _Fallback as exc:
         refuse(exc.reason)
         return
@@ -402,15 +283,20 @@ def _evaluate_group(
     reps = np.diff(base.offsets)
     si = session.stream_interval
     cycle = float(cfg.sampling_cycle)
+    overhead = (
+        None if plane.array is None else plane.array.enclosure.non_disk_watts
+    )
+    base_watts = [m.dev.timeline._base_watts[0] for m in plane.members]
 
     # Chunk the parameter axis so the working set stays bounded: the
     # dominant per-cell float64 rows are ~7 over the sub-I/O axis plus
     # the flight/event-order and bunch-time rows.  The RMW solver also
     # holds per-cell serving orders, Watts rows, and the serving-order
     # segment columns, roughly doubling the sub-I/O-axis footprint.
-    if is_array:
-        sub_rows = 14 if rmw else 7
-        per_cell = 8 * (sub_rows * total + 10 * n_pkgs + 2 * n_bunches)
+    exp = plane.exp
+    if exp is not None:
+        sub_rows = 14 if exp.has_pre else 7
+        per_cell = 8 * (sub_rows * exp.total + 10 * n_pkgs + 2 * n_bunches)
     else:
         per_cell = 8 * (8 * n_pkgs + 2 * n_bunches)
     step = max(1, int(chunk_bytes // max(per_cell, 1)))
@@ -432,34 +318,37 @@ def _evaluate_group(
             if n_bunches > 1
             else np.zeros(n_cells, dtype=bool)
         )
-        cell_reason: List[Optional[str]] = [
-            "unsorted bunch timestamps reorder dispatch" if bad else None
-            for bad in unsorted
+        solved, sol = _solve_plane(plane, np.repeat(times2d, reps, axis=1))
+        cell_reason = [
+            "unsorted bunch timestamps reorder dispatch" if bad else reason
+            for bad, reason in zip(unsorted, solved)
         ]
-        submit2d = np.repeat(times2d, reps, axis=1)
-
-        if is_array and rmw:
-            solved = _solve_array_chunk_rmw(
-                device, members, rows, service, submit2d, link_overhead,
-                link_prev, payload, exp, nbytes, cell_reason,
-            )
-        elif is_array:
-            solved = _solve_array_chunk(
-                device, members, plans, submit2d, link_overhead, link_prev,
-                payload, exp.sub_flight, exp.flight_offsets, total, nbytes,
-                cell_reason,
-            )
-        else:
-            solved = _solve_single_chunk(
-                device, plans[0], submit2d, nbytes, cell_reason
-            )
-        if solved is None:
-            for i, gi in enumerate(chunk):
-                evals[gi] = CellEval(
-                    None, cell_reason[i] or "batch solve failed"
-                )
+        if sol is None:
+            for gi, reason in zip(chunk, cell_reason):
+                evals[gi] = CellEval(None, reason)
             continue
-        fin_ev2d, resp_ev2d, bytes_ev2d, batches, overhead_watts = solved
+
+        # Freeze each served member's power columns.  The real timeline
+        # drops zero-length segments, which would desynchronise the
+        # frozen columns, so such cells are refused.
+        cums = []
+        for member, s, bw in zip(plane.members, sol.served, base_watts):
+            if s is None:
+                cums.append(_CUM_SEED)
+                continue
+            dur2d = s.fin - s.starts
+            for i in np.flatnonzero(np.any(dur2d <= 0.0, axis=1)).tolist():
+                if cell_reason[i] is None:
+                    cell_reason[i] = (
+                        f"{member.dev.name}: zero-length power segment"
+                    )
+            excess2d = s.watts * dur2d - bw * dur2d
+            cums.append(
+                np.concatenate(
+                    (np.zeros((n_cells, 1)), np.cumsum(excess2d, axis=1)),
+                    axis=1,
+                )
+            )
 
         # ---- Per-cell assembly through the real samplers. ----
         for i, gi in enumerate(chunk):
@@ -467,62 +356,36 @@ def _evaluate_group(
                 evals[gi] = CellEval(None, cell_reason[i])
                 continue
             m = manipulated[i]
-            end = float(fin_ev2d[i, -1])
+            fin = sol.fin[i]
             try:
-                mon_bounds = _tick_boundaries(0.0, end, cycle)
-                frame_bounds = (
-                    _tick_boundaries(0.0, end, float(si)) if si > 0 else None
+                bounds, frame_bounds = _sampling_bounds(
+                    0.0, float(fin[-1]), cycle, si
                 )
             except _Fallback as exc:
                 evals[gi] = CellEval(None, exc.reason)
                 continue
-            if si > 0:
-                push, pop = _queue_instants(batches, i)
-            else:
-                push = pop = _EMPTY
-            comp = _Computed(
-                end=end,
-                fin=fin_ev2d[i],
-                resp=resp_ev2d[i],
-                nbytes=bytes_ev2d[i] if bytes_ev2d.ndim == 2 else bytes_ev2d,
-                push=push,
-                pop=pop,
-                commit=_noop,
-            )
-            perf_samples = _perf_series(mon_bounds, end, comp)
             timelines = [
-                _FrozenTimeline(
-                    b.starts2d[i], b.fin2d[i], b.cell_watts(i), b.cum2d[i],
-                    b.base_watts,
-                )
-                if b.served
+                _FrozenTimeline(_EMPTY, _EMPTY, _EMPTY, cum, bw)
+                if s is None
                 else _FrozenTimeline(
-                    _EMPTY, _EMPTY, _EMPTY, _CUM_SEED, b.base_watts
+                    s.starts[i], s.fin[i], s.row_watts(i), cum[i], bw
                 )
-                for b in batches
+                for s, cum, bw in zip(sol.served, cums, base_watts)
             ]
-            if overhead_watts is None:
-                source = timelines[0]
-            else:
-                source = _FrozenMeter(timelines, overhead_watts)
-            analyzer = PowerAnalyzer(source, sampling_cycle=cycle, sensor=None)
-            _power_windows(analyzer, mon_bounds, end)
-            frames = (
-                _frame_series(frame_bounds, end, comp, source)
+            queued = (
+                [
+                    _queued(s.arrivals[i], s.starts[i])
+                    for s in sol.served
+                    if s is not None
+                ]
                 if frame_bounds is not None
                 else []
             )
-            completed = sum(s.completed for s in perf_samples) + 0
-            total_bytes = sum(s.total_bytes for s in perf_samples) + 0
-            total_response = sum(s.total_response for s in perf_samples) + 0.0
-            outcome = KernelOutcome(
-                end=end,
-                perf_samples=perf_samples,
-                analyzer=analyzer,
-                frames=frames,
-                completed=completed,
-                total_bytes=total_bytes,
-                total_response=total_response,
+            outcome = _assemble(
+                fin, sol.resp[i], sol.row_bytes(i), queued,
+                timelines[0] if overhead is None
+                else EnergyMeter(timelines, overhead),
+                bounds, frame_bounds, cycle, None,
             )
             session.config = replace(cfg, time_scale=cells[gi].time_scale)
             slog.event(
@@ -530,13 +393,10 @@ def _evaluate_group(
                 packages=m.package_count, streaming=si,
             )
             result = session._kernel_result(
-                outcome, m, load, _NullClock(end), slog, 0.0
+                outcome, m, load, _NullClock(outcome.end), slog, 0.0
             )
             cell_capture = (
-                _cell_capture(
-                    members, batches, i, fin_ev2d[i], resp_ev2d[i],
-                    end, overhead_watts, totals,
-                )
+                _cell_capture(plane, sol, i, base_watts, overhead, totals)
                 if capture
                 else None
             )
@@ -544,12 +404,10 @@ def _evaluate_group(
 
 
 def _cell_capture(
-    members: List[QueuedDevice],
-    batches: List["_MemberBatch"],
+    plane,
+    sol,
     i: int,
-    fin_row: np.ndarray,
-    resp_row: np.ndarray,
-    end: float,
+    base_watts: List[float],
     overhead_watts: Optional[float],
     totals,
 ):
@@ -564,26 +422,25 @@ def _cell_capture(
     from ..replay.capture import MemberProfile, ReplayCapture
 
     profiles = []
-    for member, b in zip(members, batches):
-        if b.served:
-            profiles.append(
-                MemberProfile(
-                    name=member.name,
-                    starts=np.array(b.starts2d[i], dtype=np.float64),
-                    ends=np.array(b.fin2d[i], dtype=np.float64),
-                    watts=np.array(b.cell_watts(i), dtype=np.float64),
-                    base_watts=b.base_watts,
-                )
+    for member, s, bw in zip(plane.members, sol.served, base_watts):
+        name = member.dev.name
+        if s is None:
+            profiles.append(MemberProfile(name, _EMPTY, _EMPTY, _EMPTY, bw))
+            continue
+        profiles.append(
+            MemberProfile(
+                name=name,
+                starts=np.array(s.starts[i], dtype=np.float64),
+                ends=np.array(s.fin[i], dtype=np.float64),
+                watts=np.array(s.row_watts(i), dtype=np.float64),
+                base_watts=bw,
             )
-        else:
-            profiles.append(
-                MemberProfile(member.name, _EMPTY, _EMPTY, _EMPTY, b.base_watts)
-            )
+        )
     reads, writes, read_bytes, write_bytes = totals
     return ReplayCapture(
-        end=end,
-        finishes=np.array(fin_row, dtype=np.float64),
-        responses=np.array(resp_row, dtype=np.float64),
+        end=float(sol.fin[i, -1]),
+        finishes=np.array(sol.fin[i], dtype=np.float64),
+        responses=np.array(sol.resp[i], dtype=np.float64),
         members=tuple(profiles),
         overhead_watts=overhead_watts,
         reads=reads,
@@ -591,245 +448,3 @@ def _cell_capture(
         read_bytes=read_bytes,
         write_bytes=write_bytes,
     )
-
-
-def _member_batch(
-    member: QueuedDevice,
-    arrivals2d: np.ndarray,
-    fin2d: np.ndarray,
-    watts: np.ndarray,
-    cell_reason: List[Optional[str]],
-) -> _MemberBatch:
-    """Freeze one member's solved FCFS batch into power columns.
-
-    ``arrivals2d``/``fin2d`` are ``(P, k)`` in serving order; ``watts``
-    is ``(k,)`` when every cell serves in one order, else ``(P, k)``.
-    Marks cells whose schedule the closed form cannot commit exactly
-    (non-monotone finishes, or zero-length power segments that the real
-    timeline would drop, desynchronising the frozen arrays) in
-    ``cell_reason`` — first member wins, matching the per-point order.
-    """
-    n_cells, k = arrivals2d.shape
-    if k > 1:
-        mono_bad = np.any(np.diff(fin2d, axis=1) < 0, axis=1)
-    else:
-        mono_bad = np.zeros(n_cells, dtype=bool)
-    starts2d = np.maximum(
-        arrivals2d,
-        np.concatenate(
-            (np.full((n_cells, 1), _NEG_INF), fin2d[:, :-1]), axis=1
-        ),
-    )
-    dur2d = fin2d - starts2d
-    zero_bad = np.any(dur2d <= 0.0, axis=1)
-    for i in range(n_cells):
-        if cell_reason[i] is None and bool(mono_bad[i]):
-            cell_reason[i] = f"{member.name}: non-monotone completion schedule"
-        if cell_reason[i] is None and bool(zero_bad[i]):
-            cell_reason[i] = f"{member.name}: zero-length power segment"
-    base_watts = member.timeline._base_watts[0]
-    excess2d = watts * dur2d - base_watts * dur2d
-    cum2d = np.concatenate(
-        (
-            np.zeros((n_cells, 1), dtype=np.float64),
-            np.cumsum(excess2d, axis=1),
-        ),
-        axis=1,
-    )
-    return _MemberBatch(
-        starts2d=starts2d,
-        fin2d=fin2d,
-        watts=watts,
-        cum2d=cum2d,
-        base_watts=base_watts,
-        submit2d=arrivals2d,
-    )
-
-
-def _idle_batch(member: QueuedDevice) -> _MemberBatch:
-    """A member that served nothing: empty columns, pure baseline."""
-    return _MemberBatch(
-        _EMPTY, _EMPTY, _EMPTY, _CUM_SEED, member.timeline._base_watts[0],
-        _EMPTY,
-    )
-
-
-def _solve_single_chunk(
-    device: QueuedDevice,
-    plan: _MemberPlan,
-    submit2d: np.ndarray,
-    nbytes: np.ndarray,
-    cell_reason: List[Optional[str]],
-):
-    """Batch-solve one chunk of cells against a single queued device."""
-    batch = _member_batch(
-        device, submit2d, _solve_lindley(submit2d, plan.seconds),
-        plan.watts, cell_reason,
-    )
-    if all(r is not None for r in cell_reason):
-        return None
-    # Single-server FIFO completes in row order; responses and the byte
-    # column stay in the shared request order.
-    resp2d = batch.fin2d - submit2d
-    return batch.fin2d, resp2d, nbytes, [batch], None
-
-
-def _solve_array_chunk(
-    device: DiskArray,
-    members: List[QueuedDevice],
-    plans: List[Optional[_MemberPlan]],
-    submit2d: np.ndarray,
-    link_overhead: float,
-    link_prev: float,
-    payload: np.ndarray,
-    sub_flight: np.ndarray,
-    flight_offsets: np.ndarray,
-    total: int,
-    nbytes: np.ndarray,
-    cell_reason: List[Optional[str]],
-):
-    """Batch-solve one chunk of cells against a disk array.
-
-    Returns ``(fin_ev2d, resp_ev2d, bytes_ev2d, batches, overhead)`` or
-    ``None`` when every cell of the chunk was marked unfused via
-    ``cell_reason``.  ``batches`` lists one :class:`_MemberBatch` per
-    member in disk order (idle members get empty columns) so the frozen
-    meter accumulates exactly like the real
-    :class:`~repro.power.model.EnergyMeter`.
-    """
-    n_cells = submit2d.shape[0]
-    d2d, _link2d = _solve_link_chain(
-        submit2d, link_overhead, payload, link_prev
-    )
-    arrivals2d = d2d[:, sub_flight]
-    sub_fin2d = np.empty((n_cells, total), dtype=np.float64)
-    batches: List[_MemberBatch] = []
-    for di, plan in enumerate(plans):
-        if plan is None:
-            batches.append(_idle_batch(members[di]))
-            continue
-        a2d = np.ascontiguousarray(arrivals2d[:, plan.rows])
-        batch = _member_batch(
-            members[di], a2d, _solve_lindley(a2d, plan.seconds),
-            plan.watts, cell_reason,
-        )
-        sub_fin2d[:, plan.rows] = batch.fin2d
-        batches.append(batch)
-    if all(r is not None for r in cell_reason):
-        return None
-
-    fin_ev2d, resp_ev2d, bytes_ev2d = _flight_completions(
-        sub_fin2d, flight_offsets, submit2d, nbytes, cell_reason
-    )
-    return fin_ev2d, resp_ev2d, bytes_ev2d, batches, (
-        device.enclosure.non_disk_watts
-    )
-
-
-def _flight_completions(
-    sub_fin2d: np.ndarray,
-    flight_offsets: np.ndarray,
-    submit2d: np.ndarray,
-    nbytes: np.ndarray,
-    cell_reason: List[Optional[str]],
-):
-    """Reduce sub-I/O finishes to completion-event-order flight columns.
-
-    Shared tail of both array chunk solvers: a flight completes when its
-    last sub-I/O finishes; tied flight completions cannot be reproduced
-    (the monitor's accumulation order would depend on event sequence
-    numbers) and mark the cell unfused.
-    """
-    n_cells = sub_fin2d.shape[0]
-    fl_fin2d = np.maximum.reduceat(sub_fin2d, flight_offsets[:-1], axis=1)
-    if fl_fin2d.shape[1] > 1:
-        srt = np.sort(fl_fin2d, axis=1)
-        tied = np.any(srt[:, 1:] == srt[:, :-1], axis=1)
-        for i in range(n_cells):
-            if cell_reason[i] is None and bool(tied[i]):
-                cell_reason[i] = "tied flight completion times"
-    comp_order2d = np.argsort(fl_fin2d, axis=1, kind="stable")
-    fin_ev2d = np.take_along_axis(fl_fin2d, comp_order2d, axis=1)
-    resp_ev2d = np.take_along_axis(fl_fin2d - submit2d, comp_order2d, axis=1)
-    bytes_ev2d = nbytes[comp_order2d]
-    return fin_ev2d, resp_ev2d, bytes_ev2d
-
-
-def _solve_array_chunk_rmw(
-    device: DiskArray,
-    members: List[QueuedDevice],
-    rows: List[np.ndarray],
-    plans: List[Optional[ServicePlan]],
-    submit2d: np.ndarray,
-    link_overhead: float,
-    link_prev: float,
-    payload: np.ndarray,
-    exp,
-    nbytes: np.ndarray,
-    cell_reason: List[Optional[str]],
-):
-    """Batch-solve a chunk of cells whose expansion carries RMW barriers.
-
-    Runs the kernel's two-phase fixpoint
-    (:func:`~repro.sim.kernel._solve_two_phase`) with one row per cell:
-    the same passes a single replay runs, on ``(P, k)`` matrices.  Rows
-    that fail to converge — or that tie in a way only event sequence
-    numbers could break — are marked in ``cell_reason`` and handed back
-    for per-point replay, while the converged rows stay fused and
-    commit their converged schedules: each member's Watts come from its
-    prepared service plan evaluated on the per-cell serving orders.
-    """
-    d2d, _link2d = _solve_link_chain(
-        submit2d, link_overhead, payload, link_prev
-    )
-    two = _solve_two_phase(exp, rows, plans, d2d)
-    for i in range(submit2d.shape[0]):
-        if cell_reason[i] is None and not bool(two.converged[i]):
-            cell_reason[i] = "rmw barrier schedule did not converge"
-        if cell_reason[i] is None and bool(two.tied[i]):
-            cell_reason[i] = "tied sub-I/O arrival times"
-    if all(r is not None for r in cell_reason):
-        return None
-
-    batches: List[_MemberBatch] = []
-    for member, m in zip(members, two.members):
-        if m is None:
-            batches.append(_idle_batch(member))
-            continue
-        batches.append(
-            _member_batch(
-                member, m.arrivals, m.fin, m.plan.full(m.order).watts,
-                cell_reason,
-            )
-        )
-    if all(r is not None for r in cell_reason):
-        return None
-
-    fin_ev2d, resp_ev2d, bytes_ev2d = _flight_completions(
-        two.sub_fin, exp.flight_offsets, submit2d, nbytes, cell_reason
-    )
-    return fin_ev2d, resp_ev2d, bytes_ev2d, batches, (
-        device.enclosure.non_disk_watts
-    )
-
-
-def _queue_instants(
-    batches: List[_MemberBatch], i: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One cell's merged queue-entry/exit instants (interval frames),
-    the per-member ``queued`` masks merged and sorted like the event
-    path's ``push_all``/``pop_all``."""
-    pushes = []
-    pops = []
-    for b in batches:
-        if not b.served:
-            continue
-        submit_row = b.submit2d[i]
-        starts_row = b.starts2d[i]
-        queued = starts_row > submit_row
-        if bool(np.any(queued)):
-            pushes.append(submit_row[queued])
-            pops.append(starts_row[queued])
-    push = np.sort(np.concatenate(pushes)) if pushes else _EMPTY
-    pop = np.sort(np.concatenate(pops)) if pops else _EMPTY
-    return push, pop

@@ -34,6 +34,14 @@ out-of-range requests (the event path raises mid-run), pathological
 sampling cycles — raises :class:`_Fallback` *before any state is
 mutated* and the caller falls back to the event engine.
 
+One path serves a single replay and a fused grid sweep
+(:mod:`repro.sim.grid`): :func:`_prepare_plane` does the time-independent
+work once per (trace, device); :func:`_solve_plane` solves ``(P, n)``
+rows of submit instants — one row for a replay, one per grid cell;
+:func:`try_kernel_replay` commits its one row to the live device
+(:func:`_commit`) while the grid freezes its rows into power columns;
+:func:`_assemble` builds the sampled outputs for both.
+
 The public entry point is :func:`try_kernel_replay`; qualification rules
 are documented in ``docs/performance.md``.
 """
@@ -50,13 +58,17 @@ from ..power.analyzer import PowerAnalyzer
 from ..power.states import PowerState
 from ..replay.monitor import PerfSample
 from ..storage.array import DiskArray
-from ..storage.base import QueuedDevice, ServicePlan, StorageDevice
+from ..storage.base import (
+    QueuedDevice,
+    ServicePlan,
+    StorageDevice,
+    VectorService,
+)
 from ..storage.hdd import HardDiskDrive
 from ..storage.queueing import FIFOQueue
 from ..storage.raid import FlightExpansion, RaidLevel, expand_flights
 from ..storage.ssd import SolidStateDrive
 from ..trace.packed import PackedTrace
-from ..trace.record import READ
 from ..units import SECTOR_BYTES
 from .engine import Simulator
 
@@ -83,6 +95,7 @@ _MAX_RMW_PASSES = 32
 _MAX_WINDOWS = 2_000_000
 
 _NEG_INF = float("-inf")
+_EMPTY = np.empty(0, dtype=np.float64)
 
 
 class _Fallback(Exception):
@@ -563,38 +576,26 @@ def _qualify_device(device: StorageDevice, trace: PackedTrace) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Schedule computation (pure — all mutations deferred to commit closures)
+# Schedule computation: prepare -> solve -> commit (replay) or freeze (grid)
 # ---------------------------------------------------------------------------
+#
+# A replay of one trace on one device is prepared once — package
+# columns, capacity checks, stripe expansion, member rows and service
+# plans (:func:`_prepare_plane`) — then solved for ``(P, n)`` rows of
+# submit instants (:func:`_solve_plane`): one row for a single replay,
+# one per cell in a fused grid.  A replay commits its row to the live
+# device (:func:`_commit`); the grid freezes every row into power
+# columns (:mod:`repro.sim.grid`).  Both feed the same sampled-output
+# assembler (:func:`_assemble`).  Everything before the commit is pure.
 
 
-@dataclass
-class _Computed:
-    """A fully-solved replay schedule, ready to commit.
-
-    ``fin``/``resp``/``nbytes`` are in *completion-event order* (the
-    order the monitor saw completions on the event path); ``push`` /
-    ``pop`` are the merged, sorted queue-entry and queue-exit instants
-    across all members (for interval-frame queue depths).  ``commit``
-    performs every device/timeline mutation the event path would have
-    made — it must be infallible.
-    """
-
-    end: float
-    fin: np.ndarray
-    resp: np.ndarray
-    nbytes: np.ndarray
-    push: np.ndarray
-    pop: np.ndarray
-    commit: Callable[[], None]
-
-
-def _dispatch_times(trace: PackedTrace, t0: float) -> np.ndarray:
-    """Per-package submit instants — the packed engine's rebased bunch
-    times, repeated across each bunch's rows."""
+def _bunch_times(trace: PackedTrace, t0: float) -> np.ndarray:
+    """Bunch dispatch instants rebased to ``t0`` — the packed engine's
+    arithmetic; unsorted instants would reorder dispatch."""
     times = t0 + (trace.timestamps - trace.timestamps[0])
     if times.size > 1 and bool(np.any(np.diff(times) < 0)):
         raise _Fallback("unsorted bunch timestamps reorder dispatch")
-    return np.repeat(times, np.diff(trace.offsets))
+    return times
 
 
 def _columns(trace: PackedTrace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -615,106 +616,6 @@ def _check_timeline_clear(dev: QueuedDevice, first_start: float) -> None:
     ends = dev.timeline._ends
     if ends and first_start < ends[-1] - 1e-12:
         raise _Fallback(f"{dev.name}: power timeline extends past replay start")
-
-
-def _prepare(
-    dev: QueuedDevice, sectors: np.ndarray, nbytes: np.ndarray, ops: np.ndarray
-) -> ServicePlan:
-    """The device's service plan for these rows (refusals fall back)."""
-    try:
-        return dev.prepare_service(sectors, nbytes, ops)
-    except StorageIOError as exc:
-        raise _Fallback(str(exc))
-
-
-def _serve_fifo(
-    dev: QueuedDevice,
-    plan: ServicePlan,
-    order: np.ndarray,
-    submit: np.ndarray,
-    fin: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[], None]]:
-    """Make one member device's FCFS service sequence commit-ready.
-
-    ``dev`` serves ``plan``'s rows in ``order`` (every row once) at the
-    nondecreasing queue-entry instants ``submit``.  ``fin`` passes
-    finish times already solved for exactly that order (the RMW
-    fixpoint's converged schedule); otherwise the Lindley recurrence
-    solves them here.  Returns ``(fin, push_times, pop_times, commit)``;
-    commit applies the device-model cursor state, queue counters,
-    completion count, head hint, and the power-timeline segments.
-    """
-    svc = plan.full(order)
-    if fin is None:
-        fin = _solve_lindley(submit[None, :], svc.seconds)[0]
-    if bool(np.any(np.diff(fin) < 0)):
-        raise _Fallback(f"{dev.name}: non-monotone completion schedule")
-    starts = np.maximum(submit, np.concatenate(([_NEG_INF], fin[:-1])))
-    _check_timeline_clear(dev, float(starts[0]))
-    queued = starts > submit
-    push = submit[queued]
-    pop = starts[queued]
-    high = 0
-    if push.size:
-        ranks = np.arange(1, push.size + 1, dtype=np.int64)
-        high = int((ranks - np.searchsorted(pop, push, side="right")).max())
-    n = int(submit.size)
-    n_queued = int(push.size)
-    if int(plan.end_sectors.max()) > dev.capacity_sectors:
-        raise _Fallback(f"{dev.name}: request beyond capacity")
-    last_end = int(plan.end_sectors[order[-1]])
-    watts = svc.watts
-    apply_model = svc.apply_state
-
-    def commit() -> None:
-        dev.timeline.extend_segments(starts, fin, watts)
-        apply_model()
-        dev.completed_count += n
-        dev._head_hint = last_end
-        dev._queue.pushed_total += n_queued
-        dev._queue.popped_total += n_queued
-        if high > dev.queued_high_water:
-            dev.queued_high_water = high
-
-    return fin, push, pop, commit
-
-
-def _compute_single(
-    trace: PackedTrace, device: QueuedDevice, t0: float
-) -> _Computed:
-    submit = _dispatch_times(trace, t0)
-    sectors, nbytes, ops = _columns(trace)
-    plan = _prepare(device, sectors, nbytes, ops)
-    fin, push, pop, commit = _serve_fifo(
-        device, plan, np.arange(sectors.size), submit
-    )
-    # Single-server FIFO completes in row order (finish events are
-    # scheduled in serving order, ties resolve by sequence), so the
-    # monitor saw completions exactly in row order.
-    resp = fin - submit
-    return _Computed(
-        end=float(fin[-1]),
-        fin=fin,
-        resp=resp,
-        nbytes=nbytes,
-        push=push,
-        pop=pop,
-        commit=commit,
-    )
-
-
-def _expand_subios(
-    geom, sectors: np.ndarray, nbytes: np.ndarray, ops: np.ndarray
-) -> FlightExpansion:
-    """Closed-form clean-mode stripe planning.
-
-    Delegates to :func:`repro.storage.raid.expand_flights` — sub-I/Os
-    come back flight-major in plan order (``pre`` block, then ``post``),
-    exactly as :meth:`RaidGeometry.plan` emits them, with integer
-    arithmetic throughout (int64) so equality with the Python loop is
-    exact.
-    """
-    return expand_flights(geom, sectors, nbytes, ops)
 
 
 def _member_rows(exp: FlightExpansion, n_disks: int) -> List[np.ndarray]:
@@ -987,113 +888,296 @@ def _solve_two_phase(
     return _TwoPhase(members, converged, tied, sub_fin)
 
 
-def _compute_array(trace: PackedTrace, device: DiskArray, t0: float) -> _Computed:
+@dataclass
+class _Member:
+    """One member device's share of a prepared plane.
+
+    ``rows`` are the requests it serves — sub-I/O indices on an array,
+    package indices on a single device — in plan order, its serving
+    order whenever every request arrives at dispatch.  On the RAID-5
+    read-modify-write path the serving order varies per row, so the
+    ``plan`` is kept and priced per order.  Otherwise it is priced once
+    in plan order (``svc``) and dropped, so no two members' plans are
+    alive at once.
+    """
+
+    dev: QueuedDevice
+    rows: np.ndarray
+    end_sectors: Optional[np.ndarray] = None
+    plan: Optional[ServicePlan] = None
+    svc: Optional[VectorService] = None
+
+
+@dataclass
+class _Plane:
+    """The time-independent half of replaying one trace on one device:
+    which requests run against which device state, not when.
+
+    ``members`` holds the device itself, or the array's disks in disk
+    order (a disk that serves nothing has empty ``rows``).
+    """
+
+    nbytes: np.ndarray  # (n,) package bytes, row order
+    members: List[_Member]
+    array: Optional[DiskArray] = None
+    exp: Optional[FlightExpansion] = None
+    payload: Optional[np.ndarray] = None  # (n,) host-link seconds
+
+
+def _prepare_member(
+    dev: QueuedDevice,
+    rows: np.ndarray,
+    sectors: np.ndarray,
+    nbytes: np.ndarray,
+    ops: np.ndarray,
+    keep_plan: bool,
+) -> _Member:
+    if not rows.size:
+        return _Member(dev, rows)
+    try:
+        plan = dev.prepare_service(sectors, nbytes, ops)
+    except StorageIOError as exc:
+        raise _Fallback(str(exc))
+    if int(plan.end_sectors.max()) > dev.capacity_sectors:
+        raise _Fallback(f"{dev.name}: request beyond capacity")
+    if keep_plan:
+        return _Member(dev, rows, plan.end_sectors, plan=plan)
+    return _Member(
+        dev, rows, plan.end_sectors, svc=plan.full(np.arange(rows.size))
+    )
+
+
+def _prepare_plane(trace: PackedTrace, device: StorageDevice) -> _Plane:
+    """Prepare ``trace`` against ``device``'s current cursors, or raise
+    :class:`_Fallback`.
+
+    Stripe planning is closed form: :func:`expand_flights` returns the
+    sub-I/Os flight-major in plan order (``pre`` block, then ``post``),
+    exactly as :meth:`RaidGeometry.plan` emits them, in exact int64
+    arithmetic.  Member plans are prepared one disk at a time.
+    """
+    sectors, nbytes, ops = _columns(trace)
+    if not isinstance(device, DiskArray):
+        member = _prepare_member(
+            device, np.arange(nbytes.size), sectors, nbytes, ops,  # type: ignore[arg-type]
+            keep_plan=False,
+        )
+        return _Plane(nbytes, [member])
     geom = device.geometry
     assert geom is not None
-    submit = _dispatch_times(trace, t0)
-    sectors, nbytes, ops = _columns(trace)
     end_sectors = sectors + -(-nbytes // SECTOR_BYTES)
     if int(end_sectors.max()) > geom.capacity_sectors:
         raise _Fallback("request beyond array capacity")
-
-    # Controller dispatch: overhead plus host-link payload serialisation.
-    overhead = device.enclosure.controller_overhead
-    payload = nbytes / device.enclosure.link_rate
-    dispatch, link = _solve_link_chain(
-        submit[None, :], overhead, payload, device._link_busy_until
+    exp = expand_flights(geom, sectors, nbytes, ops)
+    members = [
+        _prepare_member(
+            disk, r, exp.sector[r], exp.nbytes[r], exp.op[r], exp.has_pre
+        )
+        for disk, r in zip(device.disks, _member_rows(exp, len(device.disks)))
+    ]
+    return _Plane(
+        nbytes, members, device, exp, nbytes / device.enclosure.link_rate
     )
-    dispatch, link = dispatch[0], link[0]
 
-    exp = _expand_subios(geom, sectors, nbytes, ops)
-    total = exp.total
-    rows = _member_rows(exp, len(device.disks))
 
-    def plan(di: int) -> ServicePlan:
-        r = rows[di]
-        return _prepare(device.disks[di], exp.sector[r], exp.nbytes[r], exp.op[r])
+@dataclass
+class _Served:
+    """One member's solved schedule, ``P`` rows in serving order."""
 
-    # Each served member's (index, plan, order, sorted arrivals,
-    # finishes or None to solve them at commit).
-    if exp.has_pre:
-        # RAID-5 read-modify-write: post writes barrier on their pre
-        # reads.  Solve the barrier fixpoint and commit the converged
-        # per-member schedules as they stand.
-        plans = [plan(di) if r.size else None for di, r in enumerate(rows)]
-        two = _solve_two_phase(exp, rows, plans, dispatch[None, :])
-        if not bool(two.converged[0]):
-            raise _Fallback("rmw barrier schedule did not converge")
-        if bool(two.tied[0]):
-            raise _Fallback("tied sub-I/O arrival times")
-        sub_fin = two.sub_fin[0]
-        served = (
-            (di, m.plan, m.order[0], m.arrivals[0], m.fin[0])
-            for di, m in enumerate(two.members)
-            if m is not None
-        )
+    arrivals: np.ndarray  # (P, k) queue-entry instants
+    starts: np.ndarray  # (P, k) service starts: power-segment starts
+    fin: np.ndarray  # (P, k) finishes: power-segment ends
+    watts: np.ndarray  # (k,) shared by every row, or (P, k)
+    apply_state: Callable[[], None]  # when P = 1: commit the cursors
+    order: Optional[np.ndarray]  # (P, k) local serving order; None: plan order
+
+    def row_watts(self, i: int) -> np.ndarray:
+        return self.watts if self.watts.ndim == 1 else self.watts[i]
+
+
+def _served(
+    arrivals: np.ndarray,
+    fin: np.ndarray,
+    watts: np.ndarray,
+    apply_state: Callable[[], None],
+    order: Optional[np.ndarray] = None,
+) -> _Served:
+    """Each request starts at ``max(arrival, previous finish)``."""
+    starts = np.empty_like(fin)
+    starts[:, 0] = arrivals[:, 0]
+    np.maximum(arrivals[:, 1:], fin[:, :-1], out=starts[:, 1:])
+    return _Served(arrivals, starts, fin, watts, apply_state, order)
+
+
+@dataclass
+class _Solution:
+    """``P`` solved rows of a plane.
+
+    ``fin``/``resp``/``nbytes`` are in *completion-event order* (the
+    order the monitor saw completions on the event path).  ``served``
+    follows the plane's members (None where a member serves nothing).
+    """
+
+    fin: np.ndarray  # (P, n)
+    resp: np.ndarray  # (P, n)
+    nbytes: np.ndarray  # (n,) when completions keep row order, else (P, n)
+    served: List[Optional[_Served]]
+    link_end: Optional[np.ndarray]  # (P,) link-free instant, arrays only
+
+    def row_bytes(self, i: int) -> np.ndarray:
+        return self.nbytes if self.nbytes.ndim == 1 else self.nbytes[i]
+
+
+def _solve_plane(
+    plane: _Plane, submit: np.ndarray
+) -> Tuple[List[Optional[str]], Optional[_Solution]]:
+    """Solve the ``(P, n)`` package submit instants ``submit`` on ``plane``.
+
+    Runs the controller link chain from the array's current link-free
+    instant, expands each flight's dispatch to its sub-I/Os, solves each
+    member's FCFS queue (the Lindley solver, or the RMW barrier fixpoint
+    :func:`_solve_two_phase`), and reduces sub-I/O finishes to flight
+    completions.  Returns one refusal reason per row (None where the row
+    solved) and the solution, None when every row is refused.  A row
+    keeps its first refusal, in this order: RMW non-convergence, tied
+    sub-I/O arrivals, non-monotone member schedules in disk order, tied
+    flight completions.
+    """
+    n_rows = submit.shape[0]
+    reasons: List[Optional[str]] = [None] * n_rows
+
+    def refuse(bad: np.ndarray, reason: str) -> bool:
+        """Mark the ``bad`` rows; True once every row is refused."""
+        for i in np.flatnonzero(bad).tolist():
+            if reasons[i] is None:
+                reasons[i] = reason
+        return None not in reasons
+
+    exp = plane.exp
+    array = plane.array
+    link_end = None
+    if array is None:
+        dispatch = submit
     else:
-        # Every sub-I/O arrives at its flight's dispatch, so each
-        # member serves in plan order; plans are prepared one member at
-        # a time as the loop below reaches it.
-        sub_fin = np.empty(total, dtype=np.float64)
-        arrivals = dispatch[exp.sub_flight]
-        served = (
-            (di, plan(di), np.arange(r.size), arrivals[r], None)
-            for di, r in enumerate(rows)
-            if r.size
+        # Controller dispatch: overhead plus host-link payload serialisation.
+        dispatch, link = _solve_link_chain(
+            submit, array.enclosure.controller_overhead, plane.payload,
+            array._link_busy_until,
         )
-    commits: List[Callable[[], None]] = []
-    pushes: List[np.ndarray] = []
-    pops: List[np.ndarray] = []
-    for di, sp, order, submit_d, fin_d in served:
-        fin, push, pop, commit = _serve_fifo(
-            device.disks[di], sp, order, submit_d, fin_d
+        link_end = link[:, -1]
+    served: List[Optional[_Served]] = []
+    if exp is not None and exp.has_pre:
+        # RAID-5 read-modify-write: post writes barrier on their pre
+        # reads, so each row serves in its own converged order.
+        two = _solve_two_phase(
+            exp, [m.rows for m in plane.members],
+            [m.plan for m in plane.members], dispatch,
         )
-        if fin_d is None:
-            sub_fin[rows[di]] = fin
-        commits.append(commit)
-        if push.size:
-            pushes.append(push)
-            pops.append(pop)
-
+        refuse(~two.converged, "rmw barrier schedule did not converge")
+        if refuse(two.tied, "tied sub-I/O arrival times"):
+            return reasons, None
+        sub_fin = two.sub_fin
+        for m in two.members:
+            if m is None:
+                served.append(None)
+                continue
+            svc = m.plan.full(m.order[0] if n_rows == 1 else m.order)
+            served.append(
+                _served(m.arrivals, m.fin, svc.watts, svc.apply_state, m.order)
+            )
+    else:
+        # Every request arrives at its flight's dispatch, so each member
+        # serves in plan order.
+        sub_fin = None if exp is None else np.empty((n_rows, exp.total))
+        for member in plane.members:
+            if not member.rows.size:
+                served.append(None)
+                continue
+            arrivals = (
+                dispatch if exp is None
+                else dispatch[:, exp.sub_flight[member.rows]]
+            )
+            svc = member.svc
+            fin = _solve_lindley(arrivals, svc.seconds)
+            if sub_fin is not None:
+                sub_fin[:, member.rows] = fin
+            served.append(_served(arrivals, fin, svc.watts, svc.apply_state))
+    for member, s in zip(plane.members, served):
+        if s is not None and s.fin.shape[1] > 1:
+            refuse(
+                np.any(np.diff(s.fin, axis=1) < 0, axis=1),
+                f"{member.dev.name}: non-monotone completion schedule",
+            )
+    if None not in reasons:
+        return reasons, None
+    if exp is None:
+        # Single-server FIFO completes in row order (finish events are
+        # scheduled in serving order, ties resolve by sequence), so the
+        # monitor saw completions exactly in row order.
+        fin = served[0].fin
+        return reasons, _Solution(fin, fin - submit, plane.nbytes, served, None)
     # A flight completes when its last sub-I/O finishes.  Tied flight
     # finish times would make the monitor's accumulation order depend
     # on event sequence numbers — the closed form cannot reproduce
-    # that, so such schedules fall back.
-    fl_fin = np.maximum.reduceat(sub_fin, exp.flight_offsets[:-1])
-    if np.unique(fl_fin).size != fl_fin.size:
-        raise _Fallback("tied flight completion times")
-    comp_order = np.argsort(fl_fin, kind="stable")
-    fin_ev = fl_fin[comp_order]
-    resp_ev = (fl_fin - submit)[comp_order]
-    bytes_ev = nbytes[comp_order]
-
-    push_all = (
-        np.sort(np.concatenate(pushes))
-        if pushes
-        else np.empty(0, dtype=np.float64)
+    # that, so such rows are refused.
+    fl_fin = np.maximum.reduceat(sub_fin, exp.flight_offsets[:-1], axis=1)
+    comp_order = np.argsort(fl_fin, axis=1, kind="stable")
+    fin = _take_rows(fl_fin, comp_order)
+    if refuse(
+        np.any(fin[:, 1:] == fin[:, :-1], axis=1), "tied flight completion times"
+    ):
+        return reasons, None
+    return reasons, _Solution(
+        fin, _take_rows(fl_fin - submit, comp_order),
+        plane.nbytes[comp_order], served, link_end,
     )
-    pop_all = (
-        np.sort(np.concatenate(pops)) if pops else np.empty(0, dtype=np.float64)
-    )
-    n_flights = int(submit.size)
-    link_end = float(link[-1])
 
-    def commit() -> None:
-        for one in commits:
-            one()
-        device.completed_count += n_flights
-        device.subio_count += total
-        device._link_busy_until = link_end
 
-    return _Computed(
-        end=float(fin_ev[-1]),
-        fin=fin_ev,
-        resp=resp_ev,
-        nbytes=bytes_ev,
-        push=push_all,
-        pop=pop_all,
-        commit=commit,
-    )
+def _queued(
+    arrivals: np.ndarray, starts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One member row's queue-entry and queue-exit instants of the
+    requests that waited."""
+    waited = starts > arrivals
+    return arrivals[waited], starts[waited]
+
+
+def _high_water(push: np.ndarray, pop: np.ndarray) -> int:
+    """Peak queue length over one member row's sorted queue instants."""
+    if not push.size:
+        return 0
+    ranks = np.arange(1, push.size + 1, dtype=np.int64)
+    return int((ranks - np.searchsorted(pop, push, side="right")).max())
+
+
+def _commit(plane: _Plane, sol: _Solution, queued: list) -> None:
+    """Apply a one-row solution to the live device — every device,
+    queue and power-timeline mutation the event path would have made.
+
+    ``queued`` holds each member's ``(push, pop, high_water)`` (None
+    where it served nothing), computed in the fallible phase: this
+    helper must be infallible.
+    """
+    for member, s, q in zip(plane.members, sol.served, queued):
+        if s is None:
+            continue
+        dev = member.dev
+        n = int(member.rows.size)
+        push, _pop, high = q
+        dev.timeline.extend_segments(s.starts[0], s.fin[0], s.watts)
+        s.apply_state()
+        dev.completed_count += n
+        last = n - 1 if s.order is None else int(s.order[0, -1])
+        dev._head_hint = int(member.end_sectors[last])
+        dev._queue.pushed_total += int(push.size)
+        dev._queue.popped_total += int(push.size)
+        if high > dev.queued_high_water:
+            dev.queued_high_water = high
+    array = plane.array
+    if array is not None:
+        array.completed_count += int(plane.nbytes.size)
+        array.subio_count += plane.exp.total
+        array._link_busy_until = float(sol.link_end[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1133,11 +1217,15 @@ def _window_cuts(bounds: List[float], fin: np.ndarray) -> np.ndarray:
 
 
 def _perf_series(
-    bounds: List[float], end: float, comp: _Computed
+    bounds: List[float],
+    end: float,
+    fin: np.ndarray,
+    resp: np.ndarray,
+    nbytes: np.ndarray,
 ) -> List[PerfSample]:
-    cuts = _window_cuts(bounds, comp.fin)
-    resp_list = comp.resp.tolist()
-    byte_prefix = np.concatenate(([0], np.cumsum(comp.nbytes)))
+    cuts = _window_cuts(bounds, fin)
+    resp_list = resp.tolist()
+    byte_prefix = np.concatenate(([0], np.cumsum(nbytes)))
     starts = bounds
     ends = bounds[1:] + [end]
     samples: List[PerfSample] = []
@@ -1172,7 +1260,11 @@ def _power_windows(
 def _frame_series(
     bounds: List[float],
     end: float,
-    comp: _Computed,
+    fin: np.ndarray,
+    resp: np.ndarray,
+    nbytes: np.ndarray,
+    push: np.ndarray,
+    pop: np.ndarray,
     power_source,
 ) -> list:
     from ..telemetry.flightrec import get_flight_recorder
@@ -1181,9 +1273,9 @@ def _frame_series(
 
     buckets = tuple(float(b) for b in DEFAULT_TIME_BUCKETS)
     barr = np.asarray(buckets, dtype=np.float64)
-    cuts = _window_cuts(bounds, comp.fin)
-    resp_list = comp.resp.tolist()
-    byte_prefix = np.concatenate(([0], np.cumsum(comp.nbytes)))
+    cuts = _window_cuts(bounds, fin)
+    resp_list = resp.tolist()
+    byte_prefix = np.concatenate(([0], np.cumsum(nbytes)))
     starts = bounds
     ends = bounds[1:] + [end]
     flightrec = get_flight_recorder()
@@ -1196,7 +1288,7 @@ def _frame_series(
             continue
         if cnt:
             counts = np.bincount(
-                np.searchsorted(barr, comp.resp[a:b], side="right"),
+                np.searchsorted(barr, resp[a:b], side="right"),
                 minlength=barr.size + 1,
             )
         else:
@@ -1205,8 +1297,8 @@ def _frame_series(
             power_source.energy_between(s, e) if power_source is not None else 0.0
         )
         depth = int(
-            np.searchsorted(comp.push, e, side="right")
-            - np.searchsorted(comp.pop, e, side="right")
+            np.searchsorted(push, e, side="right")
+            - np.searchsorted(pop, e, side="right")
         )
         frame = IntervalFrame(
             index=len(frames),
@@ -1251,6 +1343,64 @@ class KernelOutcome:
     responses: Optional[np.ndarray] = None
 
 
+def _sampling_bounds(
+    t0: float, end: float, sampling_cycle: float, stream_interval: float
+) -> Tuple[List[float], Optional[List[float]]]:
+    """Monitor window boundaries, and interval-frame boundaries when
+    streaming is on (None otherwise)."""
+    bounds = _tick_boundaries(t0, end, float(sampling_cycle))
+    if stream_interval > 0:
+        return bounds, _tick_boundaries(t0, end, float(stream_interval))
+    return bounds, None
+
+
+def _assemble(
+    fin: np.ndarray,
+    resp: np.ndarray,
+    nbytes: np.ndarray,
+    queued: list,
+    source,
+    bounds: List[float],
+    frame_bounds: Optional[List[float]],
+    sampling_cycle: float,
+    sensor,
+) -> KernelOutcome:
+    """One solved row's sampled outputs, through the real samplers.
+
+    ``fin``/``resp``/``nbytes`` are in completion-event order;
+    ``queued`` lists each served member's ``(push, pop, ...)`` queue
+    instants (only read for interval frames); ``source`` is the
+    committed device or array meter, or the grid's frozen equivalent.
+    """
+    end = float(fin[-1])
+    perf_samples = _perf_series(bounds, end, fin, resp, nbytes)
+    analyzer = PowerAnalyzer(
+        source, sampling_cycle=float(sampling_cycle), sensor=sensor
+    )
+    _power_windows(analyzer, bounds, end)
+    frames = []
+    if frame_bounds is not None:
+        pushes = [q[0] for q in queued if q[0].size]
+        pops = [q[1] for q in queued if q[0].size]
+        frames = _frame_series(
+            frame_bounds, end, fin, resp, nbytes,
+            np.sort(np.concatenate(pushes)) if pushes else _EMPTY,
+            np.sort(np.concatenate(pops)) if pops else _EMPTY,
+            source,
+        )
+    return KernelOutcome(
+        end=end,
+        perf_samples=perf_samples,
+        analyzer=analyzer,
+        frames=frames,
+        completed=sum(s.completed for s in perf_samples) + 0,
+        total_bytes=sum(s.total_bytes for s in perf_samples) + 0,
+        total_response=sum(s.total_response for s in perf_samples) + 0.0,
+        finishes=fin,
+        responses=resp,
+    )
+
+
 def try_kernel_replay(
     sim: Simulator,
     trace,
@@ -1267,6 +1417,10 @@ def try_kernel_replay(
     advanced to the final completion — or ``(None, reason)`` when the
     configuration does not qualify, in which case *nothing* has been
     mutated and the caller must run the event engine.
+
+    The replay is a one-row solve of the live device: submit instants
+    rebased to ``sim.now``, the array link from its current link-free
+    instant, and service plans from the members' current cursors.
     """
     from ..telemetry import get_registry
 
@@ -1282,47 +1436,34 @@ def try_kernel_replay(
 
     t0 = sim.now
     try:
-        if isinstance(device, DiskArray):
-            comp = _compute_array(trace, device, t0)
-        else:
-            comp = _compute_single(trace, device, t0)  # type: ignore[arg-type]
-        mon_bounds = _tick_boundaries(t0, comp.end, float(sampling_cycle))
-        frame_bounds = (
-            _tick_boundaries(t0, comp.end, float(stream_interval))
-            if stream_interval > 0
-            else None
+        times = _bunch_times(trace, t0)
+        plane = _prepare_plane(trace, device)
+        reasons, sol = _solve_plane(
+            plane, np.repeat(times, np.diff(trace.offsets))[None, :]
+        )
+        if sol is None:
+            raise _Fallback(reasons[0])
+        queued: list = []
+        for member, s in zip(plane.members, sol.served):
+            if s is None:
+                queued.append(None)
+                continue
+            _check_timeline_clear(member.dev, float(s.starts[0, 0]))
+            push, pop = _queued(s.arrivals[0], s.starts[0])
+            queued.append((push, pop, _high_water(push, pop)))
+        bounds, frame_bounds = _sampling_bounds(
+            t0, float(sol.fin[0, -1]), sampling_cycle, stream_interval
         )
     except _Fallback as exc:
         return None, exc.reason
 
     # ---- Commit: infallible from here on. ----
-    comp.commit()
-    perf_samples = _perf_series(mon_bounds, comp.end, comp)
-    source = device.meter if isinstance(device, DiskArray) else device
-    analyzer = PowerAnalyzer(
-        source, sampling_cycle=float(sampling_cycle), sensor=sensor
+    _commit(plane, sol, queued)
+    outcome = _assemble(
+        sol.fin[0], sol.resp[0], sol.row_bytes(0),
+        [q for q in queued if q is not None],
+        device.meter if isinstance(device, DiskArray) else device,
+        bounds, frame_bounds, sampling_cycle, sensor,
     )
-    _power_windows(analyzer, mon_bounds, comp.end)
-    frames = (
-        _frame_series(frame_bounds, comp.end, comp, source)
-        if frame_bounds is not None
-        else []
-    )
-    completed = sum(s.completed for s in perf_samples) + 0
-    total_bytes = sum(s.total_bytes for s in perf_samples) + 0
-    total_response = sum(s.total_response for s in perf_samples) + 0.0
-    sim.advance_to(comp.end)
-    return (
-        KernelOutcome(
-            end=comp.end,
-            perf_samples=perf_samples,
-            analyzer=analyzer,
-            frames=frames,
-            completed=completed,
-            total_bytes=total_bytes,
-            total_response=total_response,
-            finishes=comp.fin,
-            responses=comp.resp,
-        ),
-        None,
-    )
+    sim.advance_to(outcome.end)
+    return outcome, None

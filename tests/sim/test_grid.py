@@ -308,25 +308,41 @@ class TestGridVsPerPointKernel:
             assert _canon(cell.result) == _canon(serial), cell.key
 
 
+def _event_oracle_cases():
+    """Every device x trace, batch and streaming; the batch IDs are the
+    original three-case IDs."""
+    cases = []
+    for stream_interval in (None, 0.25):
+        for factory in (_hdd, _ssd, _raid0, _raid5):
+            for trace_fn in (_read_trace, _mixed_trace):
+                name = f"{factory.__name__}-{trace_fn.__name__}"
+                if stream_interval is not None:
+                    name += "-stream"
+                cases.append(
+                    pytest.param(factory, trace_fn, stream_interval, id=name)
+                )
+    return cases
+
+
 class TestGridVsEventEngine:
-    """Sampled differential oracle: the fused kernel must agree with the
+    """Differential oracle: every fused cell must agree with the
     event-driven engine on everything but the engine provenance keys."""
 
     @pytest.mark.parametrize(
-        "factory,trace_fn",
-        [(_hdd, _read_trace), (_raid5, _read_trace), (_raid5, _mixed_trace)],
+        "factory,trace_fn,stream_interval", _event_oracle_cases()
     )
-    def test_engine_neutral_equality(self, factory, trace_fn):
+    def test_engine_neutral_equality(self, factory, trace_fn, stream_interval):
         trace = trace_fn()
         outcome = run_grid(
-            {"t": trace}, {"d": factory}, loads=(1.0,), time_scales=(1.0, 1.75),
-            engine="kernel", parallel=False,
+            {"t": trace}, {"d": factory}, loads=LOADS, time_scales=SCALES,
+            engine="kernel", parallel=False, stream_interval=stream_interval,
         )
+        assert outcome.fused_cells == len(outcome.cells) == 4
         for cell in outcome.cells:
             event = replay_trace(
                 trace, factory(), cell.load,
                 config=ReplayConfig(time_scale=cell.time_scale),
-                engine="event",
+                engine="event", stream_interval=stream_interval,
             )
             assert _canon_engine_neutral(cell.result) == \
                 _canon_engine_neutral(event), cell.key

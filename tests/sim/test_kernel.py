@@ -9,12 +9,15 @@ which the result JSON alone cannot see.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from repro.replay.session import replay_trace
+from repro.config import ReplayConfig
+from repro.replay.session import ReplaySession, replay_trace
 from repro.sim import kernel
+from repro.sim.engine import Simulator
 from repro.sim.kernel import (
     _chain_scalar,
     _lindley_scalar,
@@ -515,3 +518,37 @@ class TestDeviceEndStateParity:
             return _end_state(dev)
 
         assert run("kernel") == run("event")
+
+    @pytest.mark.parametrize("op", [READ, WRITE])
+    @pytest.mark.parametrize("factory", [_hdd, _ssd, _raid5])
+    def test_back_to_back_replays_on_one_device(self, factory, op):
+        """A second replay on the same simulator and device starts from
+        live state — ``sim.now > 0``, moved cursors, a non-empty power
+        timeline and, on arrays, a used link — that a fresh device (and
+        every fused grid cell) never shows."""
+        packed = pack(_grid_trace(n=40, op=op, fan=3))
+
+        def run(engine):
+            dev = factory()
+            sim = Simulator()
+            session = ReplaySession(dev, config=ReplayConfig(engine=engine))
+            results = [session.run(packed, 1.0, sim=sim) for _ in range(2)]
+            return results, _end_state(dev)
+
+        (k1, k2), kernel_state = run("auto")
+        (e1, e2), event_state = run("event")
+        assert k2.metadata["engine"] == "kernel"
+        assert k2.duration > 0 and k2.perf_samples[0].start > 0
+        for kernel_result, event_result in ((k1, e1), (k2, e2)):
+            assert _engine_neutral(kernel_result) == \
+                _engine_neutral(event_result)
+        assert kernel_state == event_state
+
+
+def _engine_neutral(result) -> str:
+    payload = result.to_dict()
+    payload["metadata"] = {
+        k: v for k, v in payload["metadata"].items()
+        if not k.startswith("engine")
+    }
+    return json.dumps(payload, sort_keys=True)
