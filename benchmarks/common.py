@@ -147,29 +147,6 @@ def run_replay(
     )
 
 
-def telemetry_breakdown(snapshot: dict) -> dict:
-    """Condense a registry snapshot into a ``BENCH_*.json`` breakdown.
-
-    Keeps the machine-comparable aggregates (counters, histogram means,
-    wall-timer totals) and drops the raw span log — the JSONL artifact
-    carries the full snapshot for anyone who needs it.
-    """
-    histograms = snapshot.get("histograms", {})
-    return {
-        "counters": dict(snapshot.get("counters", {})),
-        "gauges": dict(snapshot.get("gauges", {})),
-        "histogram_means": {
-            key: (h["sum"] / h["count"] if h["count"] else 0.0)
-            for key, h in histograms.items()
-        },
-        "timer_seconds": {
-            key: t["total_seconds"]
-            for key, t in snapshot.get("timers", {}).items()
-        },
-        "spans_recorded": snapshot.get("spans", {}).get("total_recorded", 0),
-    }
-
-
 def banner(title: str) -> None:
     print()
     print("=" * 78)

@@ -29,9 +29,9 @@ CompletionHook = Callable[[Completion], None]
 
 #: Instrumented completion handling observes latency histograms and
 #: records pipeline spans once per this many completions.  The stride is
-#: the overhead budget's main knob: at 64 the enabled packed pipeline
-#: measures within ~2% of disabled (the <10% bench gate), while a
-#: 100k-package replay still feeds >1500 samples per histogram.
+#: the enabled path's main cost knob: at 64 sampling stays a small share
+#: of the packed pipeline's work, while a 100k-package replay still
+#: feeds >1500 samples per histogram.
 _COMPLETION_SAMPLE_EVERY = 64
 
 #: Dispatch spans are recorded once per this many bunches — one span

@@ -247,7 +247,7 @@ def _evaluate_group(
         raise ReplayError(
             f"load proportion {load} left no bunches to replay"
         )
-    reason = _qualify_device(device, base)
+    reason = _qualify_device(device)
     if reason is not None:
         refuse(reason)
         return

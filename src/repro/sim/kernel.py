@@ -538,7 +538,7 @@ def _qualify_member(dev: StorageDevice) -> Optional[str]:
     return None
 
 
-def _qualify_device(device: StorageDevice, trace: PackedTrace) -> Optional[str]:
+def _qualify_device(device: StorageDevice) -> Optional[str]:
     """None if the target qualifies for the analytical kernel.
 
     Checks run in a documented, deterministic order so the recorded
@@ -1430,7 +1430,7 @@ def try_kernel_replay(
         return None, "object-trace replay"
     if sim.pending:
         return None, "simulator calendar not empty"
-    reason = _qualify_device(device, trace)
+    reason = _qualify_device(device)
     if reason is not None:
         return None, reason
 

@@ -81,7 +81,7 @@ def _use_pool(parallel, n_points: int, kernel_eligible=None) -> bool:
     return bool(parallel)
 
 
-def kernel_sweep_eligible(trace, device_factory, *, stream_interval=None) -> bool:
+def kernel_sweep_eligible(trace, device_factory) -> bool:
     """Probe whether per-point replays of ``trace`` would take the kernel.
 
     Builds one throwaway device from ``device_factory`` and runs the
@@ -101,7 +101,7 @@ def kernel_sweep_eligible(trace, device_factory, *, stream_interval=None) -> boo
 
         if get_registry().enabled:
             return False
-        return _qualify_device(device_factory(), trace) is None
+        return _qualify_device(device_factory()) is None
     except Exception:
         return False
 

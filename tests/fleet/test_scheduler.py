@@ -27,7 +27,11 @@ async def _drained(sched):
 
 
 class TestEndToEnd:
-    def test_many_jobs_share_few_workers(self, context):
+    def test_many_jobs_share_few_workers(self, context, monkeypatch):
+        # Tracing off (the default with TRACER_DTRACE unset) is the
+        # seed fleet path: no spans and no dtrace keys anywhere.
+        monkeypatch.delenv("TRACER_DTRACE", raising=False)
+
         async def flow():
             ledger = RunLedger()
             sched = FleetScheduler(
@@ -54,6 +58,10 @@ class TestEndToEnd:
         assert context.executions == 8
         hits = status["dedup"]["cache_hits"] + status["dedup"]["inflight_hits"]
         assert hits == 16
+        assert ledger.spans_count() == 0
+        for r in results:
+            assert "dtrace" not in r.payload
+            assert "dtrace" not in (r.payload.get("metadata") or {})
 
     def test_quotas_enforced_under_load(self, context):
         async def flow():

@@ -166,7 +166,14 @@ class TestSessionStreaming:
             j_on = frames_to_jsonl(self.run(small_trace).interval_frames)
         assert j_off == j_on
 
-    def test_disabled_session_leaves_no_streaming_trace(self, small_trace):
+    def test_disabled_session_leaves_no_streaming_trace(
+        self, small_trace, monkeypatch
+    ):
+        from repro.storage.array import build_hdd_raid5
+
+        monkeypatch.delenv(TELEMETRY_INTERVAL_ENV, raising=False)
+        session = ReplaySession(build_hdd_raid5(6))
+        assert session.stream_interval == 0.0 and session.on_frame is None
         result = self.run(small_trace, interval=None)
         assert "interval_frames" not in result.metadata
         assert result.interval_frames == []

@@ -263,13 +263,25 @@ def _packed_write_trace(n=16):
 
 
 class TestKernelAwareScheduling:
-    def test_kernel_eligible_points_stay_in_process(self):
+    def test_kernel_eligible_points_stay_in_process(self, monkeypatch):
         from repro.workload.parallel import _use_pool
 
         assert _use_pool("auto", 100, kernel_eligible=True) is False
         # Explicit booleans always win over the probe verdict.
         assert _use_pool(True, 2, kernel_eligible=True) is True
         assert _use_pool(False, 100, kernel_eligible=False) is False
+
+        # run_sweep itself consults the verdict: a pool would raise.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("kernel-eligible sweep forked a pool")
+
+        monkeypatch.setattr(
+            "repro.workload.parallel.ProcessPoolExecutor", no_pool
+        )
+        points = list(range(8))
+        assert run_sweep(
+            echo_worker, points, parallel="auto", kernel_eligible=True
+        ) == run_sweep(echo_worker, points, parallel=False)
 
     @pytest.fixture
     def _registry_off(self):
