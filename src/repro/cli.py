@@ -158,13 +158,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
     )
     result = session.run(trace, load_proportion=args.load / 100.0)
     print(format_table(summarize([result]), title=f"replay of {args.trace}"))
-    engine = result.metadata.get("engine", "event")
-    fallback = result.metadata.get("engine_fallback")
-    print(f"engine: {engine}" + (f" (fell back: {fallback})" if fallback else ""))
+    _print_engine(result)
     if args.frames and result.interval_frames:
         write_frames_jsonl(result.interval_frames, args.frames)
         print(f"interval frames written to {args.frames}")
     return 0
+
+
+def _print_engine(result) -> None:
+    engine = result.metadata.get("engine", "event")
+    fallback = result.metadata.get("engine_fallback")
+    print(f"engine: {engine}" + (f" (fell back: {fallback})" if fallback else ""))
 
 
 def _parse_axis(text: str, flag: str) -> list:
@@ -491,8 +495,11 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         to_prometheus,
         write_jsonl,
     )
+    from .trace.blktrace import read_trace_packed
 
-    trace = read_trace(args.trace)
+    # The same load as ``tracer replay``'s auto engine, so the profile
+    # is of the engine that command runs.
+    trace = read_trace_packed(args.trace)
     with enabled_telemetry() as reg:
         device = _device_factory(args.device, args.disks)()
         session = ReplaySession(
@@ -504,6 +511,7 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         result = session.run(trace, load_proportion=args.load / 100.0)
         snapshot = reg.snapshot(include_timers=args.timers)
     print(format_table(summarize([result]), title=f"replay of {args.trace}"))
+    _print_engine(result)
     print()
     print(telemetry_table(snapshot))
     if args.jsonl:

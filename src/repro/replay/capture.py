@@ -19,9 +19,28 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..trace.packed import pack
 from ..trace.record import READ
 
-__all__ = ["MemberProfile", "ReplayCapture", "CaptureSink", "workload_totals"]
+__all__ = [
+    "CompletionRecord",
+    "MemberProfile",
+    "ReplayCapture",
+    "CaptureSink",
+    "workload_totals",
+]
+
+
+@dataclass(frozen=True)
+class CompletionRecord:
+    """Each request's submit, start and finish instant in completion
+    order, as the engine's completion hook saw them (``starts``: service
+    start on a device, controller dispatch on an array).  Replay
+    telemetry is recorded from it (:mod:`repro.replay.instruments`)."""
+
+    submits: np.ndarray
+    starts: np.ndarray
+    finishes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,58 +86,46 @@ class ReplayCapture:
 class CaptureSink:
     """Mutable receptacle a session fills with the run's capture.
 
-    The event path streams completions into it via :meth:`observe`;
-    both paths call :meth:`finish` once with the member snapshot.
+    The event path streams completions into it via :meth:`observe`
+    (a session with telemetry on keeps one for the completion record
+    alone); every path calls :meth:`finish` once with the member
+    snapshot.
     """
 
     def __init__(self) -> None:
         self.capture: Optional[ReplayCapture] = None
+        self._submit: List[float] = []
+        self._start: List[float] = []
         self._fin: List[float] = []
-        self._resp: List[float] = []
-        self._reads = 0
-        self._writes = 0
-        self._read_bytes = 0
-        self._write_bytes = 0
 
-    # -- event-path streaming --------------------------------------
     def observe(self, completion) -> None:
-        self._fin.append(float(completion.finish_time))
-        self._resp.append(float(completion.response_time))
-        package = completion.package
-        if package.op == READ:
-            self._reads += 1
-            self._read_bytes += int(package.nbytes)
-        else:
-            self._writes += 1
-            self._write_bytes += int(package.nbytes)
+        self._submit.append(completion.submit_time)
+        self._start.append(completion.start_time)
+        self._fin.append(completion.finish_time)
 
-    def observed_totals(self) -> Tuple[int, int, int, int]:
-        return (self._reads, self._writes, self._read_bytes, self._write_bytes)
-
-    def observed_series(self) -> Tuple[np.ndarray, np.ndarray]:
-        return (
+    def observed_record(self) -> CompletionRecord:
+        return CompletionRecord(
+            np.asarray(self._submit, dtype=np.float64),
+            np.asarray(self._start, dtype=np.float64),
             np.asarray(self._fin, dtype=np.float64),
-            np.asarray(self._resp, dtype=np.float64),
         )
 
-    # -- shared assembly -------------------------------------------
     def finish(
         self,
         device,
         *,
         end: float,
-        finishes: np.ndarray,
-        responses: np.ndarray,
-        totals: Tuple[int, int, int, int],
+        record: CompletionRecord,
+        trace,
     ) -> ReplayCapture:
         members = snapshot_members(device)
         meter = getattr(device, "meter", None)
         overhead = float(meter.overhead_watts) if meter is not None else None
-        reads, writes, read_bytes, write_bytes = totals
+        reads, writes, read_bytes, write_bytes = workload_totals(trace)
         self.capture = ReplayCapture(
             end=float(end),
-            finishes=np.asarray(finishes, dtype=np.float64),
-            responses=np.asarray(responses, dtype=np.float64),
+            finishes=record.finishes,
+            responses=record.finishes - record.submits,
             members=members,
             overhead_watts=overhead,
             reads=reads,
@@ -148,8 +155,10 @@ def snapshot_members(device) -> Tuple[MemberProfile, ...]:
     return tuple(profiles)
 
 
-def workload_totals(packed) -> Tuple[int, int, int, int]:
-    """(reads, writes, read_bytes, write_bytes) from packed columns."""
+def workload_totals(trace) -> Tuple[int, int, int, int]:
+    """(reads, writes, read_bytes, write_bytes) of a replayed trace —
+    every package completes, so these are the run's totals too."""
+    packed = pack(trace)
     ops = packed.packages["op"]
     nbytes = packed.packages["nbytes"]
     is_read = ops == READ

@@ -17,26 +17,15 @@ IOPackage objects up front.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..errors import ReplayError
 from ..sim.engine import Simulator
 from ..storage.base import Completion, StorageDevice
 from ..trace.packed import PackedTrace, TraceLike
-from ..trace.record import Bunch, IOPackage, Trace
+from ..trace.record import Bunch, IOPackage
 
 CompletionHook = Callable[[Completion], None]
-
-#: Instrumented completion handling observes latency histograms and
-#: records pipeline spans once per this many completions.  The stride is
-#: the enabled path's main cost knob: at 64 sampling stays a small share
-#: of the packed pipeline's work, while a 100k-package replay still
-#: feeds >1500 samples per histogram.
-_COMPLETION_SAMPLE_EVERY = 64
-
-#: Dispatch spans are recorded once per this many bunches — one span
-#: per bunch would dominate the instrumented dispatch cost.
-_DISPATCH_SPAN_EVERY = 256
 
 
 class ReplayEngine:
@@ -79,33 +68,6 @@ class ReplayEngine:
         self._started = False
         self.start_time: float = 0.0
         self.end_time: Optional[float] = None
-        # Construction-time telemetry gate: when disabled the class
-        # methods run unchanged (the seed hot path); when enabled the
-        # dispatch/completion handlers are shadowed by instrumented
-        # variants via instance attributes.
-        from ..telemetry import get_registry
-
-        reg = get_registry()
-        if reg.enabled:
-            path = "packed" if isinstance(trace, PackedTrace) else "object"
-            self._tele_path = path
-            self._tele_spans = reg.spans
-            self._tele_bunches = reg.counter("replay.bunches", path=path)
-            self._tele_issued = reg.counter("replay.packages_issued", path=path)
-            self._tele_completed = reg.counter(
-                "replay.packages_completed", path=path
-            )
-            self._tele_queue = reg.histogram("replay.queue_seconds")
-            self._tele_service = reg.histogram("replay.service_seconds")
-            self._tele_response = reg.histogram("replay.response_seconds")
-            self._tele_bunch_i = 0
-            self._dispatch_packed = (  # type: ignore[method-assign]
-                self._dispatch_packed_instrumented
-            )
-            self._dispatch_bunch = (  # type: ignore[method-assign]
-                self._dispatch_bunch_instrumented
-            )
-            self._on_done = self._on_done_instrumented  # type: ignore[method-assign]
 
     @property
     def done(self) -> bool:
@@ -167,67 +129,6 @@ class ReplayEngine:
         if self.on_completion is not None:
             self.on_completion(completion)
         if self.completed >= self.total_packages:
-            self.end_time = self.sim.now
-            if self.on_finished is not None:
-                self.on_finished()
-
-    # -- Instrumented variants (installed when telemetry is enabled) ------
-
-    def _dispatch_bunch_instrumented(self, bunch: Bunch) -> None:
-        self._tele_bunches.inc()
-        self._tele_bunch_i += 1
-        if self._tele_bunch_i % _DISPATCH_SPAN_EVERY == 1:
-            self._tele_spans.record(
-                "replay.dispatch", self.sim.now, self.sim.now,
-                packages=len(bunch.packages), path=self._tele_path,
-            )
-        n = len(bunch.packages)
-        for package in bunch.packages:
-            self.issued += 1
-            self.device.submit(package, self._on_done)
-        self._tele_issued.inc(n)
-
-    def _dispatch_packed_instrumented(self, i: int) -> None:
-        offsets = self.trace.offsets
-        start = int(offsets[i])
-        stop = int(offsets[i + 1])
-        self._tele_bunches.inc()
-        self._tele_issued.inc(stop - start)
-        self._tele_bunch_i += 1
-        if self._tele_bunch_i % _DISPATCH_SPAN_EVERY == 1:
-            self._tele_spans.record(
-                "replay.dispatch", self.sim.now, self.sim.now,
-                packages=stop - start, path=self._tele_path,
-            )
-        self.issued += stop - start
-        if self._submit_slice is not None:
-            self._submit_slice(self.trace, start, stop, self._on_done)
-        else:
-            self._dispatch_rows(start, stop)
-
-    def _on_done_instrumented(self, completion: Completion) -> None:
-        # Per-completion work is one increment, one modulo, and the
-        # branch; histograms, spans, and the completed counter advance
-        # on the deterministic sampling stride, with an exact remainder
-        # sync on the final completion.
-        self.completed += 1
-        if self.completed % _COMPLETION_SAMPLE_EVERY == 0:
-            self._tele_completed.inc(_COMPLETION_SAMPLE_EVERY)
-            self._tele_queue.observe(completion.wait_time)
-            self._tele_service.observe(completion.service_time)
-            self._tele_response.observe(completion.response_time)
-            self._tele_spans.record(
-                "io.queue", completion.submit_time, completion.start_time,
-            )
-            self._tele_spans.record(
-                "io.service", completion.start_time, completion.finish_time,
-            )
-        if self.on_completion is not None:
-            self.on_completion(completion)
-        if self.completed >= self.total_packages:
-            self._tele_completed.inc(
-                self.completed % _COMPLETION_SAMPLE_EVERY
-            )
             self.end_time = self.sim.now
             if self.on_finished is not None:
                 self.on_finished()

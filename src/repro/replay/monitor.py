@@ -68,13 +68,6 @@ class PerformanceMonitor:
         self._bytes = 0
         self._response = 0.0
         self._pending_event = None
-        from ..telemetry import get_registry
-
-        reg = get_registry()
-        self._tele = reg if reg.enabled else None
-        if self._tele is not None:
-            self._tele_cycles = reg.counter("monitor.cycles")
-            self._tele_forced = reg.counter("monitor.forced_closes")
 
     def start(self, sim: Simulator) -> None:
         if self._armed:
@@ -121,10 +114,6 @@ class PerformanceMonitor:
         self._count = 0
         self._bytes = 0
         self._response = 0.0
-        if self._tele is not None:
-            self._tele_cycles.inc()
-            if force:
-                self._tele_forced.inc()
         if self.on_sample is not None:
             self.on_sample(sample)
 

@@ -38,6 +38,21 @@ class CycleRecord:
 
 
 @dataclass
+class ReplayOutcome:
+    """A finished replay, from any engine, as the session's epilogue
+    (:meth:`~repro.replay.session.ReplaySession._result`) takes it."""
+
+    end: float
+    perf_samples: List[PerfSample]
+    analyzer: Any  # the stopped PowerAnalyzer
+    frames: list
+    #: The run's :class:`~repro.replay.capture.CompletionRecord` — None
+    #: on an event replay that kept none (no capture, telemetry off).
+    record: Optional[Any] = None
+    thermal_samples: List[Any] = field(default_factory=list)
+
+
+@dataclass
 class ReplayResult:
     """Everything measured during one replay run."""
 

@@ -22,10 +22,9 @@ from ..sim.engine import Simulator
 from ..storage.array import DiskArray
 from ..storage.base import StorageDevice
 from ..trace.packed import PackedTrace, TraceLike
-from ..trace.record import Trace
 from .engine import ReplayEngine
 from .monitor import PerformanceMonitor
-from .results import ReplayResult
+from .results import ReplayOutcome, ReplayResult
 
 
 class ReplaySession:
@@ -126,17 +125,30 @@ class ReplaySession:
             return "per-frame callback attached"
         return None
 
-    def _kernel_result(
-        self, outcome, manipulated, load_proportion, sim, slog, start
+    def _result(
+        self,
+        outcome: ReplayOutcome,
+        manipulated,
+        load_proportion: float,
+        start: float,
+        slog,
+        *,
+        engine: str,
+        fallback: Optional[str] = None,
+        tele_mark=None,
+        usage=None,
     ) -> ReplayResult:
-        """Assemble a :class:`ReplayResult` from a kernel outcome.
-
-        Mirrors the event path's assembly field for field so results
-        compare bit-identical downstream (JSON, ledger, goldens).
-        """
-        end = sim.now
-        duration = end - start
-        completed = outcome.completed
+        """The replay epilogue: the :class:`ReplayResult` of a finished
+        replay — event engine, kernel or fused grid cell alike.  With
+        ``tele_mark`` (the registry mark taken when it began) it records
+        the instruments from ``outcome.record`` and the ``usage`` member
+        totals (:mod:`repro.replay.instruments`) into
+        ``metadata["telemetry"]``."""
+        end = outcome.end
+        samples = outcome.perf_samples
+        # The monitor's run totals: its closed cycles, summed in order.
+        completed = sum(s.completed for s in samples)
+        total_response = sum(s.total_response for s in samples) + 0.0
         slog.event(
             "finish", time=end, trace=manipulated.label,
             completed=completed, duration=end - start,
@@ -145,28 +157,46 @@ class ReplaySession:
             "time_scale": self.config.time_scale,
             "group_size": self.config.group_size,
             "bunches_replayed": len(manipulated),
-            "engine": "kernel",
+            "engine": engine,
         }
+        if fallback is not None:
+            metadata["engine_fallback"] = fallback
         if self.stream_interval > 0:
-            metadata["interval_frames"] = [
-                f.to_dict() for f in outcome.frames
-            ]
+            metadata["interval_frames"] = [f.to_dict() for f in outcome.frames]
+        fault_events = []
+        if isinstance(self.device, FaultInjector):
+            fault_events = list(self.device.fault_events)
+            metadata["fault_counters"] = dict(self.device.counters)
+        target = unwrap(self.device)
+        if isinstance(target, DiskArray) and target.degraded_requests:
+            metadata["degraded_requests"] = target.degraded_requests
+            metadata["reconstruct_reads"] = target.reconstruct_reads
+            metadata["failed_disk"] = target.failed_disk
+        if tele_mark is not None:
+            from ..telemetry import get_registry
+            from .instruments import record_replay
+
+            reg = get_registry()
+            members, array = usage
+            record_replay(
+                reg, manipulated, start, end, outcome.record, samples,
+                members, array,
+            )
+            metadata["telemetry"] = reg.collect(since=tele_mark)
         analyzer = outcome.analyzer
         return ReplayResult(
             trace_label=manipulated.label,
             load_proportion=load_proportion,
-            duration=duration,
+            duration=end - start,
             completed=completed,
-            total_bytes=outcome.total_bytes,
-            mean_response=(
-                outcome.total_response / completed if completed else 0.0
-            ),
+            total_bytes=sum(s.total_bytes for s in samples),
+            mean_response=total_response / completed if completed else 0.0,
             mean_watts=analyzer.mean_watts,
             energy_joules=analyzer.total_energy,
-            perf_samples=list(outcome.perf_samples),
+            perf_samples=list(samples),
             power_samples=list(analyzer.samples),
-            thermal_samples=[],
-            fault_events=[],
+            thermal_samples=list(outcome.thermal_samples),
+            fault_events=fault_events,
             metadata=metadata,
         )
 
@@ -200,17 +230,15 @@ class ReplaySession:
         # Telemetry: mark the process-wide registry so this run can
         # report its own delta, and profile the pipeline stages with
         # wall timers (profiling section, excluded from deterministic
-        # snapshots).  When disabled, ``reg`` stays None and the run
-        # body is branch-free.
+        # snapshots).  The replay instruments are recorded once, by the
+        # epilogue, whichever engine runs.
         from ..telemetry import get_registry
 
-        reg: Optional[object] = None
         tele_mark = None
         _reg = get_registry()
         if _reg.enabled:
             import time as _time
 
-            reg = _reg
             tele_mark = _reg.mark()
             tele_path = "packed" if isinstance(trace, PackedTrace) else "object"
             t_filter = _reg.timer("session.filter_seconds", path=tele_path)
@@ -234,8 +262,9 @@ class ReplaySession:
             from ..core.timescale import TimeScaler
 
             manipulated = TimeScaler(self.config.time_scale).apply(manipulated)
-        if reg is not None:
+        if tele_mark is not None:
             t_filter.add(_time.perf_counter() - _wall0)
+            _wall0 = _time.perf_counter()
         if _traced:
             _t_now = _wtime.time()
             dtrace.record_span(
@@ -257,6 +286,11 @@ class ReplaySession:
             load=load_proportion, packages=manipulated.package_count,
             streaming=self.stream_interval,
         )
+        target = unwrap(self.device)
+        if tele_mark is not None:
+            from .instruments import committed_usage, usage_mark
+
+            before = usage_mark(target)
 
         # Engine selection: the analytical kernel computes qualifying
         # fault-free replays in closed form (bit-identical results); the
@@ -264,46 +298,66 @@ class ReplaySession:
         # kernel and records why it fell back; ``kernel`` demands it.
         engine_mode = self.config.engine
         kernel_reason: Optional[str] = None
+        outcome = None
         if engine_mode in ("auto", "kernel"):
             kernel_reason = self._kernel_blockers()
-            kernel_outcome = None
             if kernel_reason is None:
                 from ..sim.kernel import try_kernel_replay
 
-                kernel_outcome, kernel_reason = try_kernel_replay(
+                outcome, kernel_reason = try_kernel_replay(
                     sim, manipulated, self.device,
                     sampling_cycle=self.config.sampling_cycle,
                     sensor=self.sensor,
                     stream_interval=self.stream_interval,
+                    keep_record=(
+                        self.capture_sink is not None or tele_mark is not None
+                    ),
                 )
-            if kernel_outcome is not None:
-                if self.capture_sink is not None:
-                    from .capture import workload_totals
-
-                    self.capture_sink.finish(
-                        unwrap(self.device),
-                        end=sim.now,
-                        finishes=kernel_outcome.finishes,
-                        responses=kernel_outcome.responses,
-                        totals=workload_totals(manipulated),
-                    )
-                if _traced:
-                    dtrace.record_span(
-                        dtrace.SPAN_REPLAY, _t_phase, _wtime.time(),
-                        sim_start=start, sim_end=sim.now,
-                        energy_joules=kernel_outcome.analyzer.total_energy,
-                        engine="kernel",
-                    )
-                return self._kernel_result(
-                    kernel_outcome, manipulated, load_proportion, sim,
-                    slog, start,
-                )
-            if engine_mode == "kernel":
+            if outcome is None and engine_mode == "kernel":
                 raise ReplayError(
                     "engine='kernel' requested but the run does not "
                     f"qualify: {kernel_reason}"
                 )
+        engine = "kernel"
+        if outcome is None:
+            engine = "event"
+            # The capture sink keeps the completion record; telemetry
+            # keeps one of its own when no capture was asked for.
+            sink = self.capture_sink
+            if sink is None and tele_mark is not None:
+                from .capture import CaptureSink
 
+                sink = CaptureSink()
+            outcome = self._run_event(sim, manipulated, sink)
+        if tele_mark is not None:
+            t_replay.add(_time.perf_counter() - _wall0)
+        if self.capture_sink is not None:
+            self.capture_sink.finish(
+                target, end=outcome.end, record=outcome.record,
+                trace=manipulated,
+            )
+        result = self._result(
+            outcome, manipulated, load_proportion, start, slog,
+            engine=engine,
+            fallback=kernel_reason,
+            tele_mark=tele_mark,
+            usage=(
+                committed_usage(target, before, start, outcome.end)
+                if tele_mark is not None else None
+            ),
+        )
+        if _traced:
+            dtrace.record_span(
+                dtrace.SPAN_REPLAY, _t_phase, _wtime.time(),
+                sim_start=start, sim_end=outcome.end,
+                energy_joules=result.energy_joules,
+                engine=engine,
+            )
+        return result
+
+    def _run_event(self, sim: Simulator, manipulated, sink) -> ReplayOutcome:
+        """Replay on the event calendar; ``sink`` (a CaptureSink, or
+        None) observes every completion."""
         monitor = PerformanceMonitor(
             sampling_cycle=self.config.sampling_cycle,
             on_sample=(
@@ -349,9 +403,9 @@ class ReplaySession:
                 record_perf(completion)
                 observe_frame(completion)
 
-        if self.capture_sink is not None:
+        if sink is not None:
             inner_hook = on_completion
-            observe_capture = self.capture_sink.observe
+            observe_capture = sink.observe
 
             def on_completion(completion, _inner=inner_hook):
                 _inner(completion)
@@ -368,111 +422,23 @@ class ReplaySession:
             recorder.start(sim)
         if thermal_monitor is not None:
             thermal_monitor.start(sim)
-        if reg is not None:
-            _wall0 = _time.perf_counter()
         engine.start()
         engine.run_to_completion()
-        if reg is not None:
-            t_replay.add(_time.perf_counter() - _wall0)
         monitor.stop()
         if recorder is not None:
             recorder.stop()
         analyzer.stop()
         if thermal_monitor is not None:
             thermal_monitor.stop()
-        end = sim.now
-        slog.event(
-            "finish", time=end, trace=manipulated.label,
-            completed=monitor.total_completed, duration=end - start,
-        )
-
-        if self.capture_sink is not None:
-            fin_series, resp_series = self.capture_sink.observed_series()
-            self.capture_sink.finish(
-                target,
-                end=end,
-                finishes=fin_series,
-                responses=resp_series,
-                totals=self.capture_sink.observed_totals(),
-            )
-
-        duration = end - start
-        total_bytes = monitor.total_bytes
-        completed = monitor.total_completed
-        responses = monitor.total_response
-        metadata = {
-            "time_scale": self.config.time_scale,
-            "group_size": self.config.group_size,
-            "bunches_replayed": len(manipulated),
-            "engine": "event",
-        }
-        if engine_mode == "auto" and kernel_reason is not None:
-            metadata["engine_fallback"] = kernel_reason
-        if recorder is not None:
-            metadata["interval_frames"] = [
-                f.to_dict() for f in recorder.frames
-            ]
-        fault_events = []
-        if isinstance(self.device, FaultInjector):
-            fault_events = list(self.device.fault_events)
-            metadata["fault_counters"] = dict(self.device.counters)
-        if isinstance(target, DiskArray) and target.degraded_requests:
-            metadata["degraded_requests"] = target.degraded_requests
-            metadata["reconstruct_reads"] = target.reconstruct_reads
-            metadata["failed_disk"] = target.failed_disk
-        if reg is not None:
-            _reg.spans.record(
-                "session.stage", start, end, stage="replay", path=tele_path
-            )
-            # Power-model state residency (busy vs idle per member) and
-            # queue-discipline totals — sim-clock / plain-int sources,
-            # so the gauges stay deterministic.
-            members = target.disks if isinstance(target, DiskArray) else [target]
-            for disk in members:
-                timeline = getattr(disk, "timeline", None)
-                if timeline is not None:
-                    busy = timeline.busy_time(start, end)
-                    _reg.gauge("power.busy_seconds", device=disk.name).set(busy)
-                    _reg.gauge("power.busy_fraction", device=disk.name).set(
-                        busy / duration if duration > 0 else 0.0
-                    )
-                queue = getattr(disk, "_queue", None)
-                if queue is not None:
-                    _reg.gauge(
-                        "queue.pushed_total", device=disk.name
-                    ).set(queue.pushed_total)
-                    _reg.gauge(
-                        "queue.popped_total", device=disk.name
-                    ).set(queue.popped_total)
-                    _reg.gauge(
-                        "queue.high_water", device=disk.name
-                    ).set(getattr(disk, "queued_high_water", 0))
-            metadata["telemetry"] = _reg.collect(since=tele_mark)
-        if _traced:
-            dtrace.record_span(
-                dtrace.SPAN_REPLAY, _t_phase, _wtime.time(),
-                sim_start=start, sim_end=end,
-                energy_joules=analyzer.total_energy,
-                engine="event",
-            )
-        return ReplayResult(
-            trace_label=manipulated.label,
-            load_proportion=load_proportion,
-            duration=duration,
-            completed=completed,
-            total_bytes=total_bytes,
-            mean_response=responses / completed if completed else 0.0,
-            mean_watts=analyzer.mean_watts,
-            energy_joules=analyzer.total_energy,
-            perf_samples=list(monitor.samples),
-            power_samples=list(analyzer.samples),
+        return ReplayOutcome(
+            end=sim.now,
+            perf_samples=monitor.samples,
+            analyzer=analyzer,
+            frames=recorder.frames if recorder is not None else [],
+            record=sink.observed_record() if sink is not None else None,
             thermal_samples=(
-                list(thermal_monitor.samples)
-                if thermal_monitor is not None
-                else []
+                thermal_monitor.samples if thermal_monitor is not None else []
             ),
-            fault_events=fault_events,
-            metadata=metadata,
         )
 
 

@@ -45,6 +45,9 @@ class Simulator:
         # Telemetry is a construction-time gate: when disabled (the
         # default) the class-level ``step`` runs and nothing below
         # exists, so the event loop is byte-for-byte the seed hot path.
+        # It profiles the event loop itself, so ``sim.*`` is the one
+        # instrument family that differs by engine: the analytical
+        # kernel and the fused grid step no simulator.
         from ..telemetry import get_registry
 
         reg = get_registry()

@@ -57,12 +57,14 @@ from ..errors import ReplayError
 from ..power.model import EnergyMeter
 from ..storage.array import DiskArray
 from ..storage.base import StorageDevice
+from ..telemetry import get_registry
 from ..trace.packed import PackedTrace
 from .kernel import (
     _EMPTY,
     _Fallback,
     _assemble,
     _bunch_times,
+    _high_water,
     _prepare_plane,
     _qualify_device,
     _queued,
@@ -101,17 +103,6 @@ class CellEval:
     result: Optional[object]
     unfused: Optional[str]
     capture: Optional[object] = None
-
-
-class _NullClock:
-    """Stand-in for the simulator in result assembly — only ``now`` is
-    read, and the kernel has already advanced it to the final
-    completion."""
-
-    __slots__ = ("now",)
-
-    def __init__(self, now: float) -> None:
-        self.now = now
 
 
 class _FrozenTimeline:
@@ -191,10 +182,6 @@ def evaluate_grid_cells(
         raise ReplayError("cannot replay an empty trace")
     if not isinstance(trace, PackedTrace):
         return [CellEval(None, "object-trace replay") for _ in cells]
-    from ..telemetry import get_registry
-
-    if get_registry().enabled:
-        return [CellEval(None, "telemetry registry enabled") for _ in cells]
 
     from ..obslog import get_logger
     from ..replay.session import ReplaySession
@@ -242,6 +229,7 @@ def _evaluate_group(
         for gi in indices:
             evals[gi] = CellEval(None, reason)
 
+    reg = get_registry()
     base = session.controller.apply(trace, load)
     if len(base) == 0:
         raise ReplayError(
@@ -318,7 +306,9 @@ def _evaluate_group(
             if n_bunches > 1
             else np.zeros(n_cells, dtype=bool)
         )
-        solved, sol = _solve_plane(plane, np.repeat(times2d, reps, axis=1))
+        solved, sol = _solve_plane(
+            plane, np.repeat(times2d, reps, axis=1), reg.enabled
+        )
         cell_reason = [
             "unsorted bunch timestamps reorder dispatch" if bad else reason
             for bad, reason in zip(unsorted, solved)
@@ -372,17 +362,18 @@ def _evaluate_group(
                 )
                 for s, cum, bw in zip(sol.served, cums, base_watts)
             ]
+            tele_mark = reg.mark() if reg.enabled else None
             queued = (
                 [
                     _queued(s.arrivals[i], s.starts[i])
                     for s in sol.served
                     if s is not None
                 ]
-                if frame_bounds is not None
+                if frame_bounds is not None or tele_mark is not None
                 else []
             )
             outcome = _assemble(
-                fin, sol.resp[i], sol.row_bytes(i), queued,
+                sol, i, queued,
                 timelines[0] if overhead is None
                 else EnergyMeter(timelines, overhead),
                 bounds, frame_bounds, cycle, None,
@@ -392,8 +383,13 @@ def _evaluate_group(
                 "start", time=0.0, trace=m.label, load=load,
                 packages=m.package_count, streaming=si,
             )
-            result = session._kernel_result(
-                outcome, m, load, _NullClock(outcome.end), slog, 0.0
+            result = session._result(
+                outcome, m, load, 0.0, slog, engine="kernel",
+                tele_mark=tele_mark,
+                usage=(
+                    _cell_usage(plane, sol, i, queued)
+                    if tele_mark is not None else None
+                ),
             )
             cell_capture = (
                 _cell_capture(plane, sol, i, base_watts, overhead, totals)
@@ -401,6 +397,34 @@ def _evaluate_group(
                 else None
             )
             evals[gi] = CellEval(result, None, cell_capture)
+
+
+def _cell_usage(plane, sol, i: int, queued: list):
+    """One cell's member usage for its telemetry, from its solved rows:
+    what a factory-fresh device commits replaying the cell per point
+    (:func:`~repro.sim.kernel._commit`)."""
+    from ..replay.instruments import ArrayUsage, MemberUsage
+
+    members = []
+    served_queues = iter(queued)
+    for member, s in zip(plane.members, sol.served):
+        if s is None:
+            members.append(MemberUsage(member.dev.name, 0, 0, 0, 0, 0.0))
+            continue
+        push, pop = next(served_queues)
+        members.append(MemberUsage(
+            member.dev.name, int(member.rows.size), int(push.size),
+            int(push.size), _high_water(push, pop),
+            # PowerTimeline.busy_time's overlap clipping is exact
+            # selection here: a cell's segments lie inside [0, end].
+            float(np.sum(s.fin[i] - s.starts[i])),
+        ))
+    array = None
+    if plane.array is not None:
+        array = ArrayUsage(
+            plane.array.name, int(plane.nbytes.size), plane.exp.total, 0, 0
+        )
+    return members, array
 
 
 def _cell_capture(

@@ -56,7 +56,9 @@ import numpy as np
 from ..errors import StorageIOError
 from ..power.analyzer import PowerAnalyzer
 from ..power.states import PowerState
+from ..replay.capture import CompletionRecord
 from ..replay.monitor import PerfSample
+from ..replay.results import ReplayOutcome
 from ..storage.array import DiskArray
 from ..storage.base import (
     QueuedDevice,
@@ -533,8 +535,6 @@ def _qualify_member(dev: StorageDevice) -> Optional[str]:
         return f"queue discipline {type(dev._queue).__name__}"
     if len(dev._queue):
         return "device queue not empty at replay start"
-    if "_finish" in dev.__dict__:
-        return "telemetry-instrumented device"
     return None
 
 
@@ -543,19 +543,17 @@ def _qualify_device(device: StorageDevice) -> Optional[str]:
 
     Checks run in a documented, deterministic order so the recorded
     fallback reason is stable when several apply: array-level structure
-    first (subclass, empty enclosure, instrumentation, degraded state,
-    RAID level), then the member disks in disk-index order.  A RAID-5
-    array that cannot take the kernel for a structural reason therefore
-    reports *that* reason — never whichever member check happens to
-    fire first (see ``tests/sim/test_kernel.py``).
+    first (subclass, empty enclosure, degraded state, RAID level), then
+    the member disks in disk-index order.  A RAID-5 array that cannot
+    take the kernel for a structural reason therefore reports *that*
+    reason — never whichever member check happens to fire first (see
+    ``tests/sim/test_kernel.py``).
     """
     if isinstance(device, DiskArray):
         if type(device) is not DiskArray:
             return f"array subclass {type(device).__name__}"
         if device.geometry is None:
             return "array has no disks installed"
-        if "_plan" in device.__dict__:
-            return "telemetry-instrumented array"
         if device.failed_disk is not None or device.rebuilding:
             return "array degraded or rebuilding"
         level = device.geometry.level
@@ -1016,6 +1014,9 @@ class _Solution:
     ``fin``/``resp``/``nbytes`` are in *completion-event order* (the
     order the monitor saw completions on the event path).  ``served``
     follows the plane's members (None where a member serves nothing).
+    ``record_rows`` holds each request's submit and start instants in
+    completion order — the rest of its completion record — when the
+    solve was asked to keep them.
     """
 
     fin: np.ndarray  # (P, n)
@@ -1023,13 +1024,20 @@ class _Solution:
     nbytes: np.ndarray  # (n,) when completions keep row order, else (P, n)
     served: List[Optional[_Served]]
     link_end: Optional[np.ndarray]  # (P,) link-free instant, arrays only
+    record_rows: Optional[Tuple[np.ndarray, np.ndarray]]  # (P, n) each
 
     def row_bytes(self, i: int) -> np.ndarray:
         return self.nbytes if self.nbytes.ndim == 1 else self.nbytes[i]
 
+    def row_record(self, i: int) -> Optional[CompletionRecord]:
+        if self.record_rows is None:
+            return None
+        submit, start = self.record_rows
+        return CompletionRecord(submit[i], start[i], self.fin[i])
+
 
 def _solve_plane(
-    plane: _Plane, submit: np.ndarray
+    plane: _Plane, submit: np.ndarray, keep_record: bool = False
 ) -> Tuple[List[Optional[str]], Optional[_Solution]]:
     """Solve the ``(P, n)`` package submit instants ``submit`` on ``plane``.
 
@@ -1041,7 +1049,8 @@ def _solve_plane(
     solved) and the solution, None when every row is refused.  A row
     keeps its first refusal, in this order: RMW non-convergence, tied
     sub-I/O arrivals, non-monotone member schedules in disk order, tied
-    flight completions.
+    flight completions.  ``keep_record`` keeps the rows' completion
+    records (for a capture or telemetry).
     """
     n_rows = submit.shape[0]
     reasons: List[Optional[str]] = [None] * n_rows
@@ -1115,7 +1124,10 @@ def _solve_plane(
         # scheduled in serving order, ties resolve by sequence), so the
         # monitor saw completions exactly in row order.
         fin = served[0].fin
-        return reasons, _Solution(fin, fin - submit, plane.nbytes, served, None)
+        return reasons, _Solution(
+            fin, fin - submit, plane.nbytes, served, None,
+            (submit, served[0].starts) if keep_record else None,
+        )
     # A flight completes when its last sub-I/O finishes.  Tied flight
     # finish times would make the monitor's accumulation order depend
     # on event sequence numbers — the closed form cannot reproduce
@@ -1130,6 +1142,10 @@ def _solve_plane(
     return reasons, _Solution(
         fin, _take_rows(fl_fin - submit, comp_order),
         plane.nbytes[comp_order], served, link_end,
+        (
+            (_take_rows(submit, comp_order), _take_rows(dispatch, comp_order))
+            if keep_record else None
+        ),
     )
 
 
@@ -1326,23 +1342,6 @@ def _frame_series(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KernelOutcome:
-    """Everything the session needs to assemble a ``ReplayResult``."""
-
-    end: float
-    perf_samples: List[PerfSample]
-    analyzer: PowerAnalyzer
-    frames: list
-    completed: int
-    total_bytes: int
-    total_response: float
-    #: Per-request finish / response times in completion-event order —
-    #: the same values the event-path monitor would have observed.
-    finishes: Optional[np.ndarray] = None
-    responses: Optional[np.ndarray] = None
-
-
 def _sampling_bounds(
     t0: float, end: float, sampling_cycle: float, stream_interval: float
 ) -> Tuple[List[float], Optional[List[float]]]:
@@ -1355,23 +1354,22 @@ def _sampling_bounds(
 
 
 def _assemble(
-    fin: np.ndarray,
-    resp: np.ndarray,
-    nbytes: np.ndarray,
+    sol: _Solution,
+    i: int,
     queued: list,
     source,
     bounds: List[float],
     frame_bounds: Optional[List[float]],
     sampling_cycle: float,
     sensor,
-) -> KernelOutcome:
-    """One solved row's sampled outputs, through the real samplers.
+) -> ReplayOutcome:
+    """Solved row ``i``'s sampled outputs, through the real samplers.
 
-    ``fin``/``resp``/``nbytes`` are in completion-event order;
     ``queued`` lists each served member's ``(push, pop, ...)`` queue
     instants (only read for interval frames); ``source`` is the
     committed device or array meter, or the grid's frozen equivalent.
     """
+    fin, resp, nbytes = sol.fin[i], sol.resp[i], sol.row_bytes(i)
     end = float(fin[-1])
     perf_samples = _perf_series(bounds, end, fin, resp, nbytes)
     analyzer = PowerAnalyzer(
@@ -1388,16 +1386,12 @@ def _assemble(
             np.sort(np.concatenate(pops)) if pops else _EMPTY,
             source,
         )
-    return KernelOutcome(
+    return ReplayOutcome(
         end=end,
         perf_samples=perf_samples,
         analyzer=analyzer,
         frames=frames,
-        completed=sum(s.completed for s in perf_samples) + 0,
-        total_bytes=sum(s.total_bytes for s in perf_samples) + 0,
-        total_response=sum(s.total_response for s in perf_samples) + 0.0,
-        finishes=fin,
-        responses=resp,
+        record=sol.row_record(i),
     )
 
 
@@ -1409,7 +1403,8 @@ def try_kernel_replay(
     sampling_cycle: float,
     sensor=None,
     stream_interval: float = 0.0,
-) -> Tuple[Optional[KernelOutcome], Optional[str]]:
+    keep_record: bool = False,
+) -> Tuple[Optional[ReplayOutcome], Optional[str]]:
     """Attempt the closed-form replay of ``trace`` against ``device``.
 
     Returns ``(outcome, None)`` on success — with all device, queue,
@@ -1421,11 +1416,8 @@ def try_kernel_replay(
     The replay is a one-row solve of the live device: submit instants
     rebased to ``sim.now``, the array link from its current link-free
     instant, and service plans from the members' current cursors.
+    ``keep_record`` puts the completion record in ``outcome.record``.
     """
-    from ..telemetry import get_registry
-
-    if get_registry().enabled:
-        return None, "telemetry registry enabled"
     if not isinstance(trace, PackedTrace):
         return None, "object-trace replay"
     if sim.pending:
@@ -1439,7 +1431,8 @@ def try_kernel_replay(
         times = _bunch_times(trace, t0)
         plane = _prepare_plane(trace, device)
         reasons, sol = _solve_plane(
-            plane, np.repeat(times, np.diff(trace.offsets))[None, :]
+            plane, np.repeat(times, np.diff(trace.offsets))[None, :],
+            keep_record,
         )
         if sol is None:
             raise _Fallback(reasons[0])
@@ -1460,8 +1453,7 @@ def try_kernel_replay(
     # ---- Commit: infallible from here on. ----
     _commit(plane, sol, queued)
     outcome = _assemble(
-        sol.fin[0], sol.resp[0], sol.row_bytes(0),
-        [q for q in queued if q is not None],
+        sol, 0, [q for q in queued if q is not None],
         device.meter if isinstance(device, DiskArray) else device,
         bounds, frame_bounds, sampling_cycle, sensor,
     )

@@ -108,23 +108,6 @@ class DiskArray(StorageDevice):
         self.rebuilding = False
         self.degraded_requests = 0
         self.reconstruct_reads = 0
-        # Construction-time telemetry gate: stripe planning is shadowed
-        # by an instrumented variant when enabled; disabled arrays run
-        # the class methods unchanged.
-        from ..telemetry import get_registry
-
-        reg = get_registry()
-        if reg.enabled:
-            self._tele_spans = reg.spans
-            self._tele_plans = reg.counter("raid.plans", array=name)
-            self._tele_rmw = reg.counter("raid.rmw_plans", array=name)
-            self._tele_degraded = reg.counter("raid.degraded_plans", array=name)
-            self._tele_reconstruct = reg.counter(
-                "raid.reconstruct_reads", array=name
-            )
-            self._tele_subios = reg.counter("raid.subios_planned", array=name)
-            self._tele_plan_wall = reg.timer("raid.plan_seconds", array=name)
-            self._plan = self._plan_instrumented  # type: ignore[method-assign]
 
     # -- Device interface --------------------------------------------------
 
@@ -155,45 +138,17 @@ class DiskArray(StorageDevice):
 
     # -- I/O path ------------------------------------------------------------
 
-    def _plan(self, package: IOPackage) -> IOPlan:
-        """Plan one logical request (degraded-aware); counters updated."""
-        assert self.geometry is not None
-        if self.failed_disk is not None:
-            plan = self.geometry.plan_degraded(package, self.failed_disk)
-            self.degraded_requests += 1
-            self.reconstruct_reads += plan.reconstruct_reads
-            return plan
-        return self.geometry.plan(package)
-
-    def _plan_instrumented(self, package: IOPackage) -> IOPlan:
-        """Telemetry variant: stripe-planning counters plus a sampled
-        wall timer (every 64th plan) for the profiling breakdown."""
-        self._tele_plans.inc()
-        degraded = self.failed_disk is not None
-        if self._tele_plans.value % 64 == 0:
-            with self._tele_plan_wall.time():
-                plan = DiskArray._plan(self, package)
-        else:
-            plan = DiskArray._plan(self, package)
-        if plan.pre:
-            self._tele_rmw.inc()
-        if degraded:
-            self._tele_degraded.inc()
-            self._tele_reconstruct.inc(plan.reconstruct_reads)
-            now = self.sim.now if self.sim is not None else 0.0
-            self._tele_spans.record(
-                "raid.degraded", now, now,
-                array=self.name, reconstruct_reads=plan.reconstruct_reads,
-            )
-        self._tele_subios.inc(plan.total_ops)
-        return plan
-
     def submit(self, package: IOPackage, on_complete: CompletionCallback) -> None:
         sim = self._require_sim()
         if self.geometry is None:
             raise StorageConfigError(f"{self.name}: no disks installed")
         self.check_bounds(package)
-        plan = self._plan(package)
+        if self.failed_disk is not None:
+            plan = self.geometry.plan_degraded(package, self.failed_disk)
+            self.degraded_requests += 1
+            self.reconstruct_reads += plan.reconstruct_reads
+        else:
+            plan = self.geometry.plan(package)
         flight = _InFlight(
             package=package,
             submit_time=sim.now,

@@ -186,22 +186,6 @@ class QueuedDevice(StorageDevice):
         self._head_hint = 0
         self.completed_count = 0
         self.queued_high_water = 0
-        # Construction-time telemetry gate: when enabled, completions
-        # flow through an instrumented ``_finish`` (sampled latency
-        # histograms per device); when disabled the class method runs
-        # unchanged and no per-request check exists.
-        from ..telemetry import get_registry
-
-        reg = get_registry()
-        if reg.enabled:
-            self._tele_completions = reg.counter(
-                "device.completions", device=name
-            )
-            self._tele_wait = reg.histogram("device.wait_seconds", device=name)
-            self._tele_service = reg.histogram(
-                "device.service_seconds", device=name
-            )
-            self._finish = self._finish_instrumented  # type: ignore[method-assign]
 
     @abstractmethod
     def _service(self, package: IOPackage, start_time: float) -> Tuple[float, float]:
@@ -240,7 +224,7 @@ class QueuedDevice(StorageDevice):
         submit_time: float,
         start: float,
         on_complete: CompletionCallback,
-    ) -> Completion:
+    ) -> None:
         sim = self._require_sim()
         self._busy = False
         self.completed_count += 1
@@ -258,29 +242,6 @@ class QueuedDevice(StorageDevice):
             nxt_pkg, nxt_submit, nxt_cb = nxt
             self._begin(nxt_pkg, nxt_submit, nxt_cb)
         on_complete(completion)
-        return completion
-
-    def _finish_instrumented(
-        self,
-        package: IOPackage,
-        submit_time: float,
-        start: float,
-        on_complete: CompletionCallback,
-    ) -> Completion:
-        """Telemetry variant installed as an instance attribute.
-
-        Delegates to the class ``_finish`` (so queue hand-off semantics
-        stay in one place) and then accounts the completion, sampling
-        the per-device latency histograms every 16th request.
-        """
-        completion = type(self)._finish(
-            self, package, submit_time, start, on_complete
-        )
-        self._tele_completions.inc()
-        if self.completed_count % 16 == 0:
-            self._tele_wait.observe(completion.wait_time)
-            self._tele_service.observe(completion.service_time)
-        return completion
 
     @property
     def queue_depth(self) -> int:

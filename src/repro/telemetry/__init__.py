@@ -1,4 +1,4 @@
-"""``repro.telemetry`` — zero-cost-when-disabled replay instrumentation.
+"""``repro.telemetry`` — replay instrumentation, free when disabled.
 
 Public surface:
 
@@ -12,8 +12,9 @@ Public surface:
 
 Enable for a process with ``TRACER_TELEMETRY=1`` (the CI telemetry
 matrix job does exactly this) or for a scope with
-:func:`enabled_telemetry`.  The flag is a *construction-time* gate:
-components built while it is off carry no instrumentation at all.
+:func:`enabled_telemetry`.  Replay instruments are recorded once per
+replay, after it finishes (:mod:`repro.replay.instruments`), so the
+flag never changes which engine runs.
 """
 
 from .dtrace import (
@@ -63,8 +64,6 @@ from .stream import (
 )
 from .spans import (
     DEFAULT_MAX_SPANS,
-    SPAN_COMPLETE,
-    SPAN_DEGRADED,
     SPAN_DISPATCH,
     SPAN_FAULT,
     SPAN_QUEUE,
@@ -97,8 +96,6 @@ __all__ = [
     "FLIGHTREC_ENV",
     "TELEMETRY_ENV",
     "TELEMETRY_INTERVAL_ENV",
-    "SPAN_COMPLETE",
-    "SPAN_DEGRADED",
     "SPAN_DISPATCH",
     "SPAN_FAULT",
     "SPAN_QUEUE",

@@ -9,10 +9,11 @@ visible at the metric level rather than only in end-to-end numbers.
 
 Design rules (see ``docs/observability.md``):
 
-* **Zero cost when disabled.**  Components consult
-  :func:`telemetry_enabled` *at construction* and install instrumented
-  method variants only when it is on; the disabled hot path executes the
-  exact same bytecode as an uninstrumented build.
+* **Zero cost when disabled, no engine change when enabled.**  A replay
+  records its instruments once, after it finishes
+  (:mod:`repro.replay.instruments`); the simulator, fault injector,
+  cache and multichannel meter consult :func:`telemetry_enabled` *at
+  construction* and instrument themselves only when it is on.
 * **Deterministic snapshots.**  Counters, gauges, histograms, and spans
   are driven exclusively by simulation-clock quantities and deterministic
   sampling (every Nth observation), so two identically seeded runs
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from bisect import bisect_right
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -135,14 +135,6 @@ class Timer:
     def add(self, seconds: float, calls: int = 1) -> None:
         self.total_seconds += seconds
         self.calls += calls
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(time.perf_counter() - t0)
 
 
 class MetricsRegistry:
@@ -377,12 +369,9 @@ def telemetry_enabled() -> bool:
 
 
 def set_enabled(enabled: bool) -> None:
-    """Toggle instrumentation for components constructed afterwards.
-
-    Existing objects keep the instrumentation decision they were built
-    with — the flag is a construction-time gate, not a runtime switch,
-    which is what keeps the disabled path free of per-event checks.
-    """
+    """Toggle instrumentation for replays started and components
+    constructed afterwards (built components keep their decision, which
+    keeps their disabled paths free of per-event checks)."""
     _REGISTRY.enabled = bool(enabled)
 
 

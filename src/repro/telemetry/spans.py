@@ -26,9 +26,7 @@ DEFAULT_MAX_SPANS = 512
 SPAN_DISPATCH = "replay.dispatch"
 SPAN_QUEUE = "io.queue"
 SPAN_SERVICE = "io.service"
-SPAN_COMPLETE = "io.complete"
 SPAN_FAULT = "fault.delay"
-SPAN_DEGRADED = "raid.degraded"
 SPAN_STAGE = "session.stage"
 
 

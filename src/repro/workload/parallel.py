@@ -85,8 +85,8 @@ def kernel_sweep_eligible(trace, device_factory) -> bool:
     """Probe whether per-point replays of ``trace`` would take the kernel.
 
     Builds one throwaway device from ``device_factory`` and runs the
-    same qualification the replay session does — packed trace, no
-    telemetry registry, kernel-capable device/array.  Sweep drivers use
+    same qualification the replay session does — packed trace,
+    kernel-capable device/array.  Sweep drivers use
     the verdict to keep ``parallel="auto"`` in-process for sweeps whose
     points are analytical-kernel fast (pool startup would dominate).
     The probe is conservative: any error means "not eligible".
@@ -97,10 +97,7 @@ def kernel_sweep_eligible(trace, device_factory) -> bool:
         return False
     try:
         from ..sim.kernel import _qualify_device
-        from ..telemetry import get_registry
 
-        if get_registry().enabled:
-            return False
         return _qualify_device(device_factory()) is None
     except Exception:
         return False

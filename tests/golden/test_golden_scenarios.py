@@ -174,12 +174,10 @@ def raid5_write_engines() -> dict:
     full-stripe-aligned writes (PR 10's two-phase kernel path).
 
     The frozen numbers are engine-independent by the kernel's
-    bit-identity contract; the scenario additionally asserts (when
-    telemetry is off, so fusion is allowed) that the auto engine fused
-    with zero ``engine_fallback``.
+    bit-identity contract; the scenario additionally asserts that the
+    auto engine fused with zero ``engine_fallback``.
     """
     from repro.storage.raid import RaidLevel
-    from repro.telemetry import get_registry
     from repro.trace.packed import pack
     from repro.trace.record import WRITE, Bunch, IOPackage, Trace
 
@@ -203,9 +201,8 @@ def raid5_write_engines() -> dict:
         packed = pack(trace)
         event = replay_trace(packed, factory(), 1.0, engine="event")
         auto = replay_trace(packed, factory(), 1.0, engine="auto")
-        if not get_registry().enabled:
-            assert auto.metadata["engine"] == "kernel", auto.metadata
-            assert "engine_fallback" not in auto.metadata
+        assert auto.metadata["engine"] == "kernel", auto.metadata
+        assert "engine_fallback" not in auto.metadata
         fields = _result_fields(auto)
         assert fields == _result_fields(event)
         out[key] = fields

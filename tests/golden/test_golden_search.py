@@ -5,8 +5,9 @@ as the *deterministic* form of the outcome — the scored matrix, the
 Pareto frontier, the IOPS/Watt ranking, and the ranked markdown report
 byte for byte.  The deterministic form excludes engine provenance and
 wall-clock, so the artifact is identical whether the base grid fused
-through the kernel or fell back to per-point event replay — which is
-exactly what the telemetry on/off test pins.
+through the kernel or fell back to per-point event replay; the
+telemetry on/off test pins that instrumenting the search moves not a
+byte.
 
 Regenerate after an intentional model change with::
 
@@ -91,7 +92,7 @@ def test_golden_search(name, update_golden):
 
 
 def test_search_artifact_byte_identical_telemetry_on_off():
-    """Instrumentation flips every base cell to the event engine; the
+    """Instrumentation observes the same fused replays; the
     deterministic artifact must not change by a single byte."""
     from repro.telemetry import enabled_telemetry
 

@@ -37,6 +37,8 @@ from repro.trace.packed import PackedTrace, pack
 from repro.trace.record import READ, WRITE, Bunch, IOPackage, Trace
 from repro.trace.stats import compute_stats
 
+from tests.telemetry_view import telemetry_view
+
 from .test_property_faults import tiny_array
 
 SEEDS = [3, 11, 29, 47]
@@ -243,15 +245,10 @@ KERNEL_CELLS = {
 def test_kernel_vs_event_oracle(cell, seed):
     """Filter × timescale × device cells: kernel ≡ event, bit for bit."""
     from repro.config import ReplayConfig
+    from repro.telemetry import enabled_telemetry
     from repro.telemetry.stream import frames_to_jsonl
 
-    from repro.telemetry import get_registry
-
     factory, op_override, expect_kernel = KERNEL_CELLS[cell]
-    # Instrumentation counts events, so a process-wide TRACER_TELEMETRY=1
-    # run legitimately keeps every cell on the event engine; the oracle
-    # then still proves auto == event with the fallback recorded.
-    expect_kernel = expect_kernel and not get_registry().enabled
     trace = random_trace(seed)
     if op_override is not None:
         trace = _force_ops(trace, op_override)
@@ -267,6 +264,20 @@ def test_kernel_vs_event_oracle(cell, seed):
         packed, factory(), load, engine="event", **kwargs
     )
     auto = replay_trace(packed, factory(), load, engine="auto", **kwargs)
+    # Instrumented, each engine records the same instruments but sim.*.
+    with enabled_telemetry():
+        event_tele = replay_trace(
+            packed, factory(), load, engine="event", **kwargs
+        ).metadata["telemetry"]
+    with enabled_telemetry():
+        auto_on = replay_trace(
+            packed, factory(), load, engine="auto", **kwargs
+        )
+    assert auto_on.metadata["engine"] == auto.metadata["engine"]
+    assert auto_on.metadata.get("engine_fallback") == \
+        auto.metadata.get("engine_fallback")
+    assert telemetry_view(auto_on.metadata["telemetry"]) == \
+        telemetry_view(event_tele)
     assert event.metadata["engine"] == "event"
     if expect_kernel:
         assert auto.metadata["engine"] == "kernel", auto.metadata
@@ -299,10 +310,6 @@ def test_engine_kernel_refuses_unqualified():
 def test_full_stripe_aligned_writes_fuse():
     """Stripe-aligned full-row writes (empty pre phase) stay fused and
     bit-identical — the in-memory-parity fast path of the planner."""
-    from repro.telemetry import get_registry
-
-    if get_registry().enabled:
-        pytest.skip("telemetry registry keeps every cell on the event path")
     device_factory = lambda: _tiny_raid("RAID5")
     geom = device_factory().geometry
     stripe_bytes = (geom.n_disks - 1) * geom.strip_bytes
@@ -335,9 +342,10 @@ def test_degraded_raid5_writes_stay_event():
 # ---------------------------------------------------------------------------
 # Policy-search oracle: the fused grid's captures, a per-point kernel
 # replay's capture, and a per-point *event* replay's capture must yield
-# bit-identical policy metrics for every (cell × policy) point, and the
-# designed fused-path fallbacks (telemetry on, object trace) must be
-# recorded while still producing identical numbers.
+# bit-identical policy metrics for every (cell × policy) point; telemetry
+# must not move a cell off the fused path, and the designed fused-path
+# fallback (object trace) must be recorded while still producing
+# identical numbers.
 # ---------------------------------------------------------------------------
 
 
@@ -417,20 +425,17 @@ def _search_metrics(outcome):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_policy_search_oracle(seed):
     """Fused grid ≡ per-point kernel ≡ per-point event, per policy cell."""
-    from repro.telemetry import get_registry
-
     packed = pack(random_trace(seed))
     outcome, traces, devices, config = _run_search(packed, seed)
     assert outcome.shape == (1, 1, 2, 2, 3)
     assert len(outcome.cells) == 12
-    if not get_registry().enabled:
-        # RAID0 reads+writes qualify: the whole base grid must fuse.
-        assert outcome.engines == {"kernel": 4}
-        assert outcome.fused_cells == 4
-        from_kernel = _per_point_metrics(
-            outcome, traces, devices, config, "kernel"
-        )
-        assert _search_metrics(outcome) == from_kernel
+    # RAID0 reads+writes qualify: the whole base grid must fuse.
+    assert outcome.engines == {"kernel": 4}
+    assert outcome.fused_cells == 4
+    from_kernel = _per_point_metrics(
+        outcome, traces, devices, config, "kernel"
+    )
+    assert _search_metrics(outcome) == from_kernel
     from_event = _per_point_metrics(
         outcome, traces, devices, config, "event"
     )
@@ -442,18 +447,17 @@ def test_policy_search_oracle(seed):
 
 
 def test_policy_search_telemetry_fallback_bit_identical():
-    """Telemetry on: every cell falls back (reason recorded) yet every
-    policy metric stays bit-identical to the instrumented-off search."""
+    """Telemetry on: no cell falls back — all four still fuse — and
+    every policy metric stays bit-identical to the instrumented-off
+    search."""
     from repro.telemetry import enabled_telemetry
 
     packed = pack(random_trace(SEEDS[1]))
     baseline_outcome, *_ = _run_search(packed, SEEDS[1])
     with enabled_telemetry():
         outcome, traces, devices, config = _run_search(packed, SEEDS[1])
-        assert outcome.fused_cells == 0
-        assert set(outcome.fallback_reasons.values()) == {
-            "telemetry registry enabled"
-        }
+        assert outcome.fused_cells == 4
+        assert outcome.fallback_reasons == {}
         assert _search_metrics(outcome) == _search_metrics(baseline_outcome)
         assert verify_search(
             outcome, traces, devices, _search_policies(), config=config
@@ -463,20 +467,11 @@ def test_policy_search_telemetry_fallback_bit_identical():
 def test_policy_search_object_trace_fallback_bit_identical():
     """An object Trace can't fuse ("object-trace replay") but the
     event-path captures must score identically to the packed search."""
-    from repro.telemetry import get_registry
-
     trace = random_trace(SEEDS[2])
     packed_outcome, *_ = _run_search(pack(trace), SEEDS[2])
     outcome, traces, devices, config = _run_search(trace, SEEDS[2])
     assert outcome.fused_cells == 0
-    # A process-wide TRACER_TELEMETRY=1 run trips the telemetry gate
-    # before the trace-layout gate; either way the cell must not fuse.
-    expected = (
-        "telemetry registry enabled"
-        if get_registry().enabled
-        else "object-trace replay"
-    )
-    assert set(outcome.fallback_reasons.values()) == {expected}
+    assert set(outcome.fallback_reasons.values()) == {"object-trace replay"}
     assert _search_metrics(outcome) == _search_metrics(packed_outcome)
     assert verify_search(
         outcome, traces, devices, _search_policies(), config=config

@@ -12,7 +12,6 @@ solves, including rows forced down the general per-row-heads path.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -34,21 +33,9 @@ from repro.storage.ssd import SolidStateDrive
 from repro.trace.packed import pack
 from repro.trace.record import READ, WRITE, Bunch, IOPackage, Trace
 from repro.workload.parallel import run_grid
+from tests.telemetry_view import canon, telemetry_view
 
 _NEG_INF = float("-inf")
-
-
-@pytest.fixture(autouse=True)
-def _telemetry_off():
-    """The fused path declines whole planes whenever instrumentation is
-    on; run this suite with the registry forced off so fusion happens
-    even under a process-wide ``TRACER_TELEMETRY=1`` run."""
-    from repro.telemetry import get_registry, set_enabled
-
-    prior = get_registry().enabled
-    set_enabled(False)
-    yield
-    set_enabled(prior)
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +189,6 @@ def _raid0():
     )
 
 
-def _canon(result) -> str:
-    return json.dumps(result.to_dict(), sort_keys=True)
-
-
-def _canon_engine_neutral(result) -> str:
-    payload = result.to_dict()
-    payload["metadata"] = {
-        k: v
-        for k, v in payload["metadata"].items()
-        if not k.startswith("engine")
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
 LOADS = (0.5, 1.0)
 SCALES = (1.0, 1.75)
 
@@ -235,7 +208,7 @@ class TestGridVsPerPointKernel:
                 config=ReplayConfig(time_scale=cell.time_scale),
                 engine="kernel",
             )
-            assert _canon(cell.result) == _canon(serial), cell.key
+            assert canon(cell.result) == canon(serial), cell.key
 
     @pytest.mark.parametrize("factory", [_raid0, _raid5])
     def test_mixed_ops_fuse(self, factory):
@@ -251,7 +224,7 @@ class TestGridVsPerPointKernel:
                 config=ReplayConfig(time_scale=cell.time_scale),
                 engine="kernel",
             )
-            assert _canon(cell.result) == _canon(serial), cell.key
+            assert canon(cell.result) == canon(serial), cell.key
 
     def test_rmw_chunking_invariance(self):
         """The RMW solver's per-order-class batching must be chunk-size
@@ -269,8 +242,8 @@ class TestGridVsPerPointKernel:
             engine="kernel", parallel=False, chunk_bytes=4096,
         )
         assert big.fused_cells == tiny.fused_cells == 8
-        assert [_canon(c.result) for c in big.cells] == [
-            _canon(c.result) for c in tiny.cells
+        assert [canon(c.result) for c in big.cells] == [
+            canon(c.result) for c in tiny.cells
         ]
 
     def test_chunking_invariance(self):
@@ -287,8 +260,8 @@ class TestGridVsPerPointKernel:
             loads=LOADS, time_scales=(1.0, 1.25, 1.5, 2.0),
             engine="kernel", parallel=False, chunk_bytes=4096,
         )
-        assert [_canon(c.result) for c in big.cells] == [
-            _canon(c.result) for c in tiny.cells
+        assert [canon(c.result) for c in big.cells] == [
+            canon(c.result) for c in tiny.cells
         ]
 
     def test_interval_frames_match_per_point_streaming(self):
@@ -305,7 +278,7 @@ class TestGridVsPerPointKernel:
             )
             assert cell.result.metadata["interval_frames"] == \
                 serial.metadata["interval_frames"], cell.key
-            assert _canon(cell.result) == _canon(serial), cell.key
+            assert canon(cell.result) == canon(serial), cell.key
 
 
 def _event_oracle_cases():
@@ -344,8 +317,8 @@ class TestGridVsEventEngine:
                 config=ReplayConfig(time_scale=cell.time_scale),
                 engine="event", stream_interval=stream_interval,
             )
-            assert _canon_engine_neutral(cell.result) == \
-                _canon_engine_neutral(event), cell.key
+            assert canon(cell.result, engine_neutral=True) == \
+                canon(event, engine_neutral=True), cell.key
 
 
 class TestFallbackParity:
@@ -392,7 +365,7 @@ class TestFallbackParity:
                 config=ReplayConfig(time_scale=cell.time_scale),
                 engine="auto",
             )
-            assert _canon(cell.result) == _canon(serial), cell.key
+            assert canon(cell.result) == canon(serial), cell.key
             assert cell.fallback == serial.metadata["engine_fallback"]
 
     def test_forced_kernel_raises_where_per_point_would(self):
@@ -416,20 +389,35 @@ class TestFallbackParity:
         assert outcome.fused_cells == 0
         assert outcome.cells[0].engine == "event"
         serial = replay_trace(obj, _hdd(), 1.0, engine="auto")
-        assert _canon(outcome.cells[0].result) == _canon(serial)
+        assert canon(outcome.cells[0].result) == canon(serial)
 
-    def test_telemetry_declines_fusion(self):
+    def test_telemetry_keeps_fusion(self):
+        """Instrumentation does not decline fusion, and every fused
+        cell's telemetry delta equals its per-point replay's."""
         from repro.telemetry import enabled_telemetry
 
+        trace = _mixed_trace(n=160)
         with enabled_telemetry():
             outcome = run_grid(
-                {"t": _read_trace()}, {"d": _hdd}, parallel=False
+                {"t": trace}, {"d": _raid5}, loads=LOADS,
+                time_scales=SCALES, parallel=False,
             )
-        assert outcome.fused_cells == 0
-        assert all(
-            "telemetry" in reason
-            for reason in outcome.fallback_reasons.values()
-        )
+        assert outcome.fused_cells == 4
+        assert outcome.fallback_reasons == {}
+        for at, cell in enumerate(outcome.cells):
+            with enabled_telemetry():
+                serial = replay_trace(
+                    trace, _raid5(), cell.load,
+                    config=ReplayConfig(time_scale=cell.time_scale),
+                )
+            assert serial.metadata["engine"] == "kernel"
+            fused = cell.result.metadata["telemetry"]
+            alone = serial.metadata["telemetry"]
+            assert fused["histograms"]["replay.response_seconds"]["count"]
+            assert telemetry_view(fused) == telemetry_view(alone), cell.key
+            if at == 0:
+                # Both registries were fresh: the spans match too.
+                assert fused["spans"] == alone["spans"]
 
 
 class TestGridOutcomeShape:
@@ -512,6 +500,6 @@ class TestUnfusedPoolPath:
         )
         assert pooled.fused_cells == serial.fused_cells == 0
         assert [c.key for c in pooled.cells] == [c.key for c in serial.cells]
-        assert [_canon(c.result) for c in pooled.cells] == [
-            _canon(c.result) for c in serial.cells
+        assert [canon(c.result) for c in pooled.cells] == [
+            canon(c.result) for c in serial.cells
         ]

@@ -9,7 +9,6 @@ which the result JSON alone cannot see.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -33,25 +32,9 @@ from repro.storage.ssd import SolidStateDrive
 from repro.trace.packed import PACKED_PACKAGE_DTYPE, PackedTrace, pack
 from repro.trace.record import READ, WRITE, Bunch, IOPackage, Trace
 from repro.units import SECTOR_BYTES
+from tests.telemetry_view import canon
 
 _NEG_INF = float("-inf")
-
-
-@pytest.fixture(autouse=True)
-def _telemetry_off():
-    """Force the construction-time telemetry gate off for this suite.
-
-    The kernel defers to the event engine whenever instrumentation is
-    on (instrumentation counts events), so forced ``engine="kernel"``
-    runs here must build their sessions with the registry disabled even
-    under a process-wide ``TRACER_TELEMETRY=1`` test run.
-    """
-    from repro.telemetry import get_registry, set_enabled
-
-    prior = get_registry().enabled
-    set_enabled(False)
-    yield
-    set_enabled(prior)
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +333,20 @@ class TestFallbackReasons:
         assert result.metadata["engine"] == "event"
         assert "engine_fallback" in result.metadata
 
-    def test_telemetry_blocks_the_kernel(self):
+    def test_telemetry_keeps_the_kernel(self):
+        """Instrumentation observes the kernel's replay; it never sends
+        the run to the event engine."""
         from repro.telemetry import enabled_telemetry
 
         with enabled_telemetry():
             result = replay_trace(
                 pack(_grid_trace()), _hdd(), 1.0, engine="auto"
             )
-        assert result.metadata["engine"] == "event"
-        assert "telemetry" in result.metadata["engine_fallback"]
+        assert result.metadata["engine"] == "kernel"
+        assert "engine_fallback" not in result.metadata
+        counters = result.metadata["telemetry"]["counters"]
+        assert counters["replay.packages_completed{path=packed}"] == 48
+        assert counters["device.completions{device=k-hdd}"] == 48
 
     def test_faults_block_the_kernel(self):
         from repro.errors import ReplayError
@@ -537,15 +525,6 @@ class TestDeviceEndStateParity:
         assert k2.metadata["engine"] == "kernel"
         assert k2.duration > 0 and k2.perf_samples[0].start > 0
         for kernel_result, event_result in ((k1, e1), (k2, e2)):
-            assert _engine_neutral(kernel_result) == \
-                _engine_neutral(event_result)
+            assert canon(kernel_result, engine_neutral=True) == \
+                canon(event_result, engine_neutral=True)
         assert kernel_state == event_state
-
-
-def _engine_neutral(result) -> str:
-    payload = result.to_dict()
-    payload["metadata"] = {
-        k: v for k, v in payload["metadata"].items()
-        if not k.startswith("engine")
-    }
-    return json.dumps(payload, sort_keys=True)

@@ -1,17 +1,20 @@
 """Structural zero-overhead guarantees of the disabled telemetry path.
 
 No wall-clock budget is asserted anywhere; these tests pin the
-*mechanism* that makes the disabled path free: instrumentation is a
-construction-time gate that shadows methods via instance attributes, so
-a component built with telemetry disabled runs the exact class bytecode
-of an uninstrumented build — not even a flag check sits on the hot
-path.  Replay results must agree with the gate on and off.
+*mechanism* that makes the disabled path free.  Replay instruments are
+recorded once, after the replay, so no replay component carries a
+telemetry twin; the one remaining construction-time gate is the
+simulator's profiled ``step``, which shadows the class method via an
+instance attribute only when enabled.  Replay results — engine choice
+included — must agree with the gate on and off.
 """
 
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
+from repro.power.meter import MultiChannelMeter
 from repro.replay.engine import ReplayEngine
-from repro.replay.monitor import PerformanceMonitor
 from repro.replay.session import replay_trace
 from repro.sim.engine import Simulator
 from repro.storage.array import build_hdd_raid5
@@ -39,10 +42,22 @@ def _build_pipeline(small_trace):
 # The methods that carry instrumented variants, per component.
 SHADOWED = {
     "sim": ("step",),
+}
+
+# Replay-path methods no gate may shadow: replay telemetry is recorded
+# after the run, never by a hot-path variant.
+UNSHADOWED = {
     "disk": ("_finish",),
-    "array": ("_plan",),
     "engine": ("_dispatch_bunch", "_dispatch_packed", "_on_done"),
 }
+
+
+def _assert_replay_path_unshadowed(array, engine):
+    for disk in array.disks:
+        for name in UNSHADOWED["disk"]:
+            assert name not in disk.__dict__
+    for name in UNSHADOWED["engine"]:
+        assert name not in engine.__dict__
 
 
 @pytest.mark.parametrize("forced", [False], indirect=True)
@@ -51,21 +66,14 @@ class TestDisabledPathIsStructurallyClean:
         sim, array, engine = _build_pipeline(small_trace)
         for name in SHADOWED["sim"]:
             assert name not in sim.__dict__
-        for disk in array.disks:
-            for name in SHADOWED["disk"]:
-                assert name not in disk.__dict__
-        for name in SHADOWED["array"]:
-            assert name not in array.__dict__
-        for name in SHADOWED["engine"]:
-            assert name not in engine.__dict__
+        _assert_replay_path_unshadowed(array, engine)
 
     def test_guarded_components_carry_none_sentinel(self, forced):
         # Off the packed hot path the gate is a stored None (one
         # attribute load per rare event), never a registry lookup.
-        monitor = PerformanceMonitor(sampling_cycle=1.0)
-        assert monitor._tele is None
-        disk = HardDiskDrive("d0")
-        assert "_finish" not in disk.__dict__
+        injector = FaultInjector(HardDiskDrive("d0"), FaultSchedule())
+        assert injector._tele is None
+        assert MultiChannelMeter()._tele is None
 
     def test_registry_untouched_by_disabled_replay(self, forced, small_trace):
         reg = get_registry()
@@ -82,20 +90,11 @@ class TestEnabledPathInstalls:
         sim, array, engine = _build_pipeline(small_trace)
         for name in SHADOWED["sim"]:
             assert name in sim.__dict__
-        for disk in array.disks:
-            for name in SHADOWED["disk"]:
-                assert name in disk.__dict__
-        for name in SHADOWED["array"]:
-            assert name in array.__dict__
-        for name in SHADOWED["engine"]:
-            assert name in engine.__dict__
+        _assert_replay_path_unshadowed(array, engine)
 
     def test_shadow_points_at_instrumented_variant(self, forced, small_trace):
-        sim, _, engine = _build_pipeline(small_trace)
+        sim, _, _ = _build_pipeline(small_trace)
         assert sim.step.__func__ is Simulator._step_instrumented
-        assert (
-            engine._on_done.__func__ is ReplayEngine._on_done_instrumented
-        )
 
 
 class TestGateIsPerConstruction:
@@ -114,16 +113,18 @@ class TestGateIsPerConstruction:
     def test_replay_results_agree_across_gate(self, small_trace):
         import json
 
+        from repro.trace.packed import pack
+
         def run():
-            result = replay_trace(small_trace, build_hdd_raid5(4), 1.0)
-            d = result.to_dict()
-            md = d.get("metadata", {})
-            md.pop("telemetry", None)
-            # Engine provenance differs by design: the analytical kernel
-            # defers to the event engine while instrumentation is on.
-            md.pop("engine", None)
-            md.pop("engine_fallback", None)
-            return json.dumps(d, sort_keys=True)
+            # The object trace replays on the event engine and the
+            # packed one on the kernel, with telemetry on or off.
+            out = []
+            for trace in (small_trace, pack(small_trace)):
+                result = replay_trace(trace, build_hdd_raid5(4), 1.0)
+                d = result.to_dict()
+                d.get("metadata", {}).pop("telemetry", None)
+                out.append(json.dumps(d, sort_keys=True))
+            return out
 
         prior = get_registry().enabled
         try:

@@ -67,6 +67,29 @@ class TestReplay:
             main(["replay", str(trace_file), "--device", "floppy"])
 
 
+class TestTelemetry:
+    def test_profiles_the_engine_replay_runs(
+        self, trace_file, tmp_path, capsys
+    ):
+        """The trace loads packed, as for ``tracer replay``'s auto
+        engine, so the profile is of the kernel that command runs."""
+        import json
+
+        jsonl = tmp_path / "t.jsonl"
+        rc = main(["telemetry", str(trace_file), "--jsonl", str(jsonl)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "engine: kernel\n" in out
+        records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+        completed = [
+            r for r in records
+            if r["name"] == "replay.packages_completed"
+        ]
+        assert len(completed) == 1
+        assert completed[0]["labels"] == {"path": "packed"}
+        assert completed[0]["value"] == read_trace(trace_file).package_count
+
+
 class TestProfile:
     def test_profile_output(self, trace_file, capsys):
         assert main(["profile", str(trace_file)]) == 0

@@ -283,25 +283,12 @@ class TestKernelAwareScheduling:
             echo_worker, points, parallel="auto", kernel_eligible=True
         ) == run_sweep(echo_worker, points, parallel=False)
 
-    @pytest.fixture
-    def _registry_off(self):
-        """The probe answers for the *current* telemetry state; pin it
-        off so these verdicts hold under a TRACER_TELEMETRY=1 run."""
-        from repro.telemetry import get_registry, set_enabled
-
-        prior = get_registry().enabled
-        set_enabled(False)
-        yield
-        set_enabled(prior)
-
-    def test_probe_accepts_kernel_qualifying_sweep(self, _registry_off):
+    def test_probe_accepts_kernel_qualifying_sweep(self):
         from repro.workload.parallel import kernel_sweep_eligible
 
         assert kernel_sweep_eligible(_packed_read_trace(), hdd_factory)
 
-    def test_probe_rejects_object_trace_accepts_parity_writes(
-        self, _registry_off
-    ):
+    def test_probe_rejects_object_trace_accepts_parity_writes(self):
         from repro.trace.record import READ, Bunch, IOPackage, Trace
         from repro.workload.parallel import kernel_sweep_eligible
 
@@ -322,12 +309,14 @@ class TestKernelAwareScheduling:
             _packed_write_trace(), degraded_factory
         )
 
-    def test_probe_rejects_under_telemetry(self):
+    def test_probe_accepts_under_telemetry(self):
+        """Telemetry does not choose the engine, so it does not change
+        the probe's verdict either."""
         from repro.telemetry import enabled_telemetry
         from repro.workload.parallel import kernel_sweep_eligible
 
         with enabled_telemetry():
-            assert not kernel_sweep_eligible(_packed_read_trace(), hdd_factory)
+            assert kernel_sweep_eligible(_packed_read_trace(), hdd_factory)
 
     def test_probe_never_raises(self):
         from repro.workload.parallel import kernel_sweep_eligible
