@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 from repro import (
-    ResultsDatabase,
+    RunLedger,
     TraceRepository,
     WorkloadMode,
     build_hdd_raid5,
@@ -48,11 +48,11 @@ with tempfile.TemporaryDirectory() as tmp:
         print(f"generator {node.node_id} listening on port {node.port}")
 
     # -- Evaluation host drives each node over TCP -----------------------
-    database = ResultsDatabase()
+    ledger = RunLedger()
     try:
         for node in nodes:
             with RemoteEvaluationHost(
-                "127.0.0.1", node.port, database=database
+                "127.0.0.1", node.port, ledger=ledger
             ) as host:
                 print(f"\nconnected to {host.node_id} "
                       f"(device {host.device_label})")
@@ -68,8 +68,8 @@ with tempfile.TemporaryDirectory() as tmp:
         for node in nodes:
             node.stop()
 
-    print(f"\nhost database now holds {database.count()} records from "
-          f"{len(database.devices())} devices")
+    print(f"\nhost ledger now holds {ledger.count()} records from "
+          f"{len(ledger.devices())} devices")
 
 # -- Multichannel parallel evaluation (one clock, N power channels) ------
 

@@ -3,8 +3,8 @@
 
 Drives the §III-B procedure end-to-end through
 :class:`repro.host.EvaluationHost`: build a (small) trace repository per
-array, run load sweeps, store every record in the results database, then
-query the database to compare the two arrays — the §VI-G comparison.
+array, run load sweeps, record every test in one run ledger, then query
+the ledger to compare the two arrays — the §VI-G comparison.
 
 Run:  python examples/evaluate_raid5_energy.py
 """
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro import (
     EvaluationHost,
-    ResultsDatabase,
+    RunLedger,
     TraceRepository,
     WorkloadMode,
     build_hdd_raid5,
@@ -29,7 +29,7 @@ MODES = [
 LEVELS = (0.2, 0.6, 1.0)
 
 with tempfile.TemporaryDirectory() as tmp:
-    database = ResultsDatabase()  # shared in-memory DB for both arrays
+    ledger = RunLedger()  # shared in-memory ledger for both arrays
 
     for label, factory in (
         ("hdd-raid5", lambda: build_hdd_raid5(6)),
@@ -39,22 +39,22 @@ with tempfile.TemporaryDirectory() as tmp:
             device_factory=factory,
             device_label=label,
             repository=TraceRepository(Path(tmp) / label),
-            database=database,
+            ledger=ledger,
         )
         print(f"building repository for {label} ...")
         host.build_repository(modes=MODES, duration=1.5)
         for mode in MODES:
             host.run_load_sweep(mode, levels=LEVELS, label="compare")
 
-    # -- Query the database and print the comparison --------------------
+    # -- Query the ledger and print the comparison ----------------------
 
-    print(f"\n{database.count()} records stored; devices: "
-          f"{', '.join(database.devices())}\n")
+    print(f"\n{ledger.count()} records stored; devices: "
+          f"{', '.join(ledger.devices())}\n")
     print(f"{'device':<10} {'rnd%':>5} {'rd%':>4} {'load%':>6} "
           f"{'MBPS':>8} {'Watts':>8} {'MBPS/kW':>8}")
-    for device in database.devices():
+    for device in ledger.devices():
         for mode in MODES:
-            rows = database.query(
+            rows = ledger.tests(
                 device_label=device,
                 request_size=mode.request_size,
                 random_ratio=mode.random_ratio,
@@ -72,7 +72,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # Headline: who wins at full load on the random-read workload?
     def full_load_eff(device, rnd, rd):
-        rows = database.query(
+        rows = ledger.tests(
             device_label=device, random_ratio=rnd, read_ratio=rd,
             load_proportion=1.0,
         )

@@ -5,7 +5,9 @@ Exercises the full streaming stack end-to-end the way CI drives it:
 1. a short **remote** replay (real TCP, in-process ``GeneratorNode``)
    streams live PROGRESS frames under ``TRACER_TELEMETRY_INTERVAL``,
    persisting the interval-frame JSONL and a run-ledger row;
-2. the ledger row round-trips through a ``tracer runs show`` subprocess;
+2. the ledger row round-trips through a ``tracer runs show`` subprocess,
+   and the same row reads back as the test's record through a ``tracer
+   report`` subprocess;
 3. a fault-injected local replay fails a RAID-5 member mid-run, which
    autodumps the **armed** flight recorder (``TRACER_FLIGHTREC``).
 
@@ -95,6 +97,16 @@ def main(workdir: str = "artifacts") -> None:
     assert shown["summary"]["iops"] == row.summary["iops"]
     assert shown["config_hash"] == row.config_hash
     print(f"ledger row {row.run_id} round-trips through `tracer runs show`")
+
+    # The test's record is that same row: `tracer report` renders it.
+    assert record.record_id == row.run_id
+    report = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "report", str(ledger_path)],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    assert "1 test records across 1 device(s): hdd-raid5." in report, report
+    assert f"| 50 | {record.iops:.1f} | {record.mbps:.2f} |" in report, report
+    print(f"ledger row {row.run_id} reads back through `tracer report`")
 
     # 3. Armed flight recorder autodumps on a mid-replay disk failure.
     dump_path = os.environ.get("TRACER_FLIGHTREC", "").strip()

@@ -85,7 +85,7 @@ from .faults import (
 )
 from .replay import ReplayResult, ReplaySession, replay_trace
 from .metrics import iops_per_watt, mbps_per_kilowatt
-from .host import EvaluationHost, ResultsDatabase, TestRecord
+from .host import EvaluationHost, RunLedger, TestRecord
 
 __version__ = "1.0.0"
 
@@ -144,7 +144,7 @@ __all__ = [
     "iops_per_watt",
     "mbps_per_kilowatt",
     "EvaluationHost",
-    "ResultsDatabase",
+    "RunLedger",
     "TestRecord",
     "__version__",
 ]

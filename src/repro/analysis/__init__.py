@@ -9,7 +9,7 @@ actually ships:
 * :mod:`~repro.analysis.export` — CSV export of test records and
   per-cycle series for external plotting;
 * :mod:`~repro.analysis.report` — a markdown evaluation report straight
-  from a results database.
+  from the run ledger's test records.
 """
 
 from .profile import WorkloadProfile, profile_trace, format_profile

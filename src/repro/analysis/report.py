@@ -1,4 +1,4 @@
-"""Markdown evaluation report from a results database.
+"""Markdown evaluation report from the run ledger's test records.
 
 "The users are able to send queries to the database to access results
 after the testing processes are done" (§III-A1) — this module is the
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Tuple
 
-from ..host.database import ResultsDatabase
+from ..host.ledger import RunLedger
 from ..host.records import TestRecord
 from .export import render_table
 
@@ -40,15 +40,16 @@ def _mode_heading(key: ModeKey) -> str:
     )
 
 
-def database_report(db: ResultsDatabase, title: str = "TRACER evaluation") -> str:
-    """Render the entire database as a markdown report."""
+def database_report(ledger: RunLedger, title: str = "TRACER evaluation") -> str:
+    """Render every test in the ledger as a markdown report."""
     lines = [f"# {title}", ""]
-    devices = db.devices()
+    records = ledger.tests()
+    devices = sorted({rec.device_label for rec in records})
     if not devices:
         lines.append("_No records._")
         return "\n".join(lines)
 
-    lines.append(f"{db.count()} test records across "
+    lines.append(f"{len(records)} test records across "
                  f"{len(devices)} device(s): {', '.join(devices)}.")
     lines.append("")
 
@@ -56,8 +57,8 @@ def database_report(db: ResultsDatabase, title: str = "TRACER evaluation") -> st
     for device in devices:
         lines.append(f"## {device}")
         lines.append("")
-        records = db.query(device_label=device)
-        for key, rows in sorted(_group_by_mode(records).items()):
+        mine = [rec for rec in records if rec.device_label == device]
+        for key, rows in sorted(_group_by_mode(mine).items()):
             lines.append(f"### {_mode_heading(key)}")
             lines.append("")
             lines.append(

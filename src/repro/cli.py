@@ -7,7 +7,7 @@ Subcommands mirror the evaluation workflow of §III-B:
 * ``stats``    — print Table-III-style statistics of a trace file;
 * ``replay``   — replay a trace at a load proportion (``--live`` streams
   per-cycle rows, the GUI stand-in);
-* ``sweep``    — full load sweep (10 %..100 %) with a results database;
+* ``sweep``    — full load sweep (10 %..100 %), one ledger row per level;
 * ``repo``     — list a trace repository;
 * ``profile``  — distributional workload characterisation;
 * ``compare``  — statistical similarity of two traces;
@@ -21,7 +21,7 @@ Subcommands mirror the evaluation workflow of §III-B:
 * ``search``   — energy-policy Pareto search: one fused replay grid,
   every cell re-scored under each policy, ranked by IOPS/Watt
   (``--verify`` re-derives every cell per point and diffs bit-for-bit);
-* ``report`` / ``export`` — markdown report / CSV from a results database.
+* ``report`` / ``export`` — markdown report / CSV of a ledger's test rows.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import Callable, List, Optional
 
 from .config import ReplayConfig, TestRequest, WorkloadMode, LOAD_LEVELS
-from .host.database import ResultsDatabase
 from .host.evaluation import EvaluationHost
+from .host.ledger import RunLedger
 from .metrics.summary import format_table, summarize
 from .replay.session import ReplaySession
 from .storage.array import build_hdd_raid5, build_ssd_raid5
@@ -214,7 +214,7 @@ def cmd_sweep_grid(args: argparse.Namespace) -> int:
     for key, reason in outcome.fallback_reasons.items():
         print(f"  fallback {key}: {reason}")
     if args.ledger:
-        from .host.ledger import RunLedger, record_grid_run
+        from .host.ledger import record_grid_run
 
         with RunLedger(args.ledger) as ledger:
             run_id = record_grid_run(
@@ -294,7 +294,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         Path(args.json).write_text(render_json(outcome.to_dict()))
         print(f"search outcome written to {args.json}")
     if args.ledger:
-        from .host.ledger import RunLedger, record_search_run
+        from .host.ledger import record_search_run
 
         with RunLedger(args.ledger) as ledger:
             run_id = record_search_run(ledger, outcome, config=config)
@@ -319,15 +319,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid:
         return cmd_sweep_grid(args)
     trace = read_trace(args.trace)
-    db = ResultsDatabase(args.database) if args.database else ResultsDatabase()
     repo = TraceRepository(args.repository) if args.repository else TraceRepository(
         Path(args.trace).parent
-    )
-    host = EvaluationHost(
-        _device_factory(args.device, args.disks),
-        args.device,
-        repository=repo,
-        database=db,
     )
     st = compute_stats(trace)
     mode = WorkloadMode(
@@ -335,7 +328,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         random_ratio=min(max(st.random_ratio, 0.0), 1.0),
         read_ratio=min(max(st.read_ratio, 0.0), 1.0),
     )
-    records = host.run_load_sweep(mode, trace=trace, label=Path(args.trace).stem)
+    with RunLedger(args.database or ":memory:") as ledger:
+        host = EvaluationHost(
+            _device_factory(args.device, args.disks),
+            args.device,
+            repository=repo,
+            ledger=ledger,
+        )
+        records = host.run_load_sweep(
+            mode, trace=trace, label=Path(args.trace).stem
+        )
     print(f"{'load%':>6} {'IOPS':>10} {'MBPS':>9} {'Watts':>8} "
           f"{'IOPS/W':>8} {'MBPS/kW':>9}")
     for rec in records:
@@ -361,8 +363,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report import database_report
 
-    with ResultsDatabase(args.database) as db:
-        text = database_report(db, title=args.title)
+    with _open_ledger(args.database) as ledger:
+        text = database_report(ledger, title=args.title)
     if args.output:
         Path(args.output).write_text(text)
         print(f"report written to {args.output}")
@@ -374,9 +376,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from .analysis.export import export_records_csv
 
-    with ResultsDatabase(args.database) as db:
-        records = db.query()
-        count = export_records_csv(records, args.csv)
+    with _open_ledger(args.database) as ledger:
+        count = export_records_csv(ledger.tests(), args.csv)
     print(f"exported {count} records to {args.csv}")
     return 0
 
@@ -526,7 +527,6 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
 def cmd_watch(args: argparse.Namespace) -> int:
     """Live view of a remote replay: streamed interval frames."""
     from .distributed.host_node import RemoteEvaluationHost
-    from .host.ledger import RunLedger
     from .replay.console import LiveFrameRenderer
 
     mode = WorkloadMode(
@@ -559,9 +559,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
           f"{record.mean_watts:.2f} W, "
           f"{record.iops_per_watt:.2f} IOPS/W")
     if ledger is not None:
-        latest = ledger.list(limit=1)
-        if latest:
-            print(f"ledger: run {latest[0].run_id} recorded in {args.ledger}")
+        print(f"ledger: run {record.record_id} recorded in {args.ledger}")
         ledger.close()
     return 0
 
@@ -577,9 +575,7 @@ def cmd_flightrec_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_ledger(path: str):
-    from .host.ledger import RunLedger
-
+def _open_ledger(path: str) -> RunLedger:
     if not Path(path).exists():
         raise SystemExit(f"no ledger at {path}")
     return RunLedger(path)
@@ -669,7 +665,6 @@ def cmd_fleet_serve(args: argparse.Namespace) -> int:
         TenantSpec,
         local_worker_pool,
     )
-    from .host.ledger import RunLedger
     from .trace.blktrace import read_trace_packed
 
     context = EvaluationContext()
@@ -826,14 +821,10 @@ def cmd_fleet_top(args: argparse.Namespace) -> int:
 
 def cmd_trace_show(args: argparse.Namespace) -> int:
     """Render one fleet job's distributed-trace span tree."""
-    from .host.ledger import RunLedger
     from .telemetry.dtrace import build_tree, render_tree
 
-    ledger = RunLedger(args.ledger)
-    try:
+    with _open_ledger(args.ledger) as ledger:
         spans = ledger.spans_for_job(args.job_id)
-    finally:
-        ledger.close()
     if not spans:
         print(f"no spans recorded for job {args.job_id!r}", file=sys.stderr)
         return 1
@@ -847,14 +838,9 @@ def cmd_trace_show(args: argparse.Namespace) -> int:
 
 def cmd_trace_jobs(args: argparse.Namespace) -> int:
     """List jobs that have recorded span trees."""
-    from .host.ledger import RunLedger
-
-    ledger = RunLedger(args.ledger)
-    try:
+    with _open_ledger(args.ledger) as ledger:
         jobs = ledger.span_jobs()
         count = ledger.spans_count()
-    finally:
-        ledger.close()
     for job_id in jobs:
         print(job_id)
     print(f"{len(jobs)} traced jobs, {count} spans")
@@ -913,7 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="replay a trace at 10%%..100%% load levels")
     _add_device_args(p)
     p.add_argument("trace")
-    p.add_argument("--database", default="", help="sqlite file for records")
+    p.add_argument("--database", default="",
+                   help="sqlite run ledger for the test records")
     p.add_argument("--repository", default="", help="trace repository directory")
     p.add_argument("--grid", action="store_true",
                    help="grid-fused sweep: evaluate the whole "
@@ -1180,14 +1167,14 @@ def build_parser() -> argparse.ArgumentParser:
                    "sqlite ledger")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("report", help="markdown report from a results database")
-    p.add_argument("database")
+    p = sub.add_parser("report", help="markdown report of a ledger's tests")
+    p.add_argument("database", help="sqlite run ledger")
     p.add_argument("--output", default="", help="write to file instead of stdout")
     p.add_argument("--title", default="TRACER evaluation")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("export", help="export database records to CSV")
-    p.add_argument("database")
+    p = sub.add_parser("export", help="export a ledger's tests to CSV")
+    p.add_argument("database", help="sqlite run ledger")
     p.add_argument("csv")
     p.set_defaults(func=cmd_export)
 

@@ -1,9 +1,9 @@
 """Remote evaluation host: dispatches tests to generator nodes over TCP.
 
 Mirrors :class:`~repro.host.evaluation.EvaluationHost`'s test surface but
-executes replays on remote generator nodes, storing the returned
-summaries in a local results database (the paper's host machine keeps
-the database; generators do the I/O).
+executes replays on remote generator nodes, recording each returned
+summary as one ``remote:<node>`` row of a local run ledger (the paper's
+host machine keeps the database; generators do the I/O).
 
 Failure semantics: the underlying :class:`~repro.host.communicator.Communicator`
 retries each request over a fresh connection with exponential backoff,
@@ -26,8 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from ..config import LOAD_LEVELS, ReplayConfig, TestRequest, WorkloadMode
 from ..errors import ProtocolError
 from ..host.communicator import Communicator, RetryPolicy
-from ..host.database import ResultsDatabase
-from ..host.ledger import RunLedger, build_record
+from ..host.ledger import RunLedger, record_test
 from ..host.protocol import (
     Frame,
     KIND_ERROR,
@@ -38,7 +37,6 @@ from ..host.protocol import (
     KIND_TRACE_LIST,
 )
 from ..host.records import TestRecord
-from ..telemetry.stream import frames_to_jsonl
 
 #: Callback for streamed interval frames: ``on_progress(frame_dict)``
 #: receives each interval frame's wire dict, in order, at most once.
@@ -57,17 +55,15 @@ class RemoteEvaluationHost:
         self,
         host: str,
         port: int,
-        database: Optional[ResultsDatabase] = None,
         clock: Callable[[], float] = _time.time,
         timeout: float = 60.0,
         retry: Optional[RetryPolicy] = None,
         ledger: Optional[RunLedger] = None,
         frames_dir: Optional[Union[str, Path]] = None,
     ) -> None:
-        self.database = database if database is not None else ResultsDatabase()
         self.clock = clock
-        self.ledger = ledger
-        self.frames_dir = Path(frames_dir) if frames_dir is not None else None
+        self.ledger = ledger if ledger is not None else RunLedger()
+        self.frames_dir = frames_dir
         self.node_id = "?"
         self.device_label = "?"
         self.comm: Optional[Communicator] = None
@@ -125,7 +121,7 @@ class RemoteEvaluationHost:
         on_progress: Optional[ProgressFn] = None,
         stream_interval: Optional[float] = None,
     ) -> TestRecord:
-        """Run one test remotely; store and return the record.
+        """Run one test remotely; record it as one ledger row and return it.
 
         The dispatch is tagged with a unique request id, so if the reply
         is lost and the communicator retries, the node returns the
@@ -144,30 +140,18 @@ class RemoteEvaluationHost:
             on_progress=on_progress,
             stream_interval=stream_interval,
         )
-        record = TestRecord(
-            test_time=self.clock(),
-            device_label=self.device_label,
-            mode=request.mode,
-            mean_amperes=body["mean_watts"] / 220.0,
-            mean_volts=220.0,
-            mean_watts=body["mean_watts"],
-            energy_joules=body["energy_joules"],
-            iops=body["iops"],
-            mbps=body["mbps"],
-            mean_response=body["mean_response"],
-            duration=body["duration"],
-            iops_per_watt=body["iops_per_watt"],
-            mbps_per_kilowatt=body["mbps_per_kilowatt"],
-            label=request.label,
+        # A telemetry snapshot or interval frames riding the wire in the
+        # result metadata are kept with the row, as for a local test.
+        return record_test(
+            self.ledger,
+            body,
+            request,
+            self.device_label,
+            origin=f"remote:{self.node_id}",
+            run_id=request_id,
+            created=self.clock(),
+            frames_dir=self.frames_dir,
         )
-        record_id = self.database.insert(record)
-        telemetry = body.get("metadata", {}).get("telemetry")
-        if telemetry:
-            # The node ran with telemetry on; its snapshot rode the wire
-            # in the result metadata — keep it with the record.
-            self.database.insert_telemetry(record_id, telemetry)
-        self._record_run(request, request_id, body)
-        return record
 
     def run_test_raw(
         self,
@@ -179,8 +163,8 @@ class RemoteEvaluationHost:
     ) -> Dict:
         """Run one test remotely; return the raw result-wire body.
 
-        Unlike :meth:`run_test` this neither touches the local database
-        nor the ledger — the caller owns persistence.  ``request_id``
+        Unlike :meth:`run_test` this does not touch the ledger — the
+        caller owns persistence.  ``request_id``
         may be supplied by the caller (the fleet scheduler passes its
         job id so a job reassigned to a *new* connection against the
         same node is still served from the node's result cache instead
@@ -236,29 +220,6 @@ class RemoteEvaluationHost:
         if reply.kind != KIND_TEST_RESULT:
             raise ProtocolError(f"unexpected reply {reply.kind!r}")
         return dict(reply.body)
-
-    def _record_run(
-        self, request: TestRequest, request_id: str, body: Dict
-    ) -> None:
-        """Persist interval frames and the run-ledger row, when enabled."""
-        frames = body.get("metadata", {}).get("interval_frames") or []
-        frames_path: Optional[Path] = None
-        if frames and self.frames_dir is not None:
-            self.frames_dir.mkdir(parents=True, exist_ok=True)
-            frames_path = self.frames_dir / f"run-{request_id}.jsonl"
-            frames_path.write_text(frames_to_jsonl(frames), encoding="utf-8")
-        if self.ledger is not None:
-            self.ledger.append(
-                build_record(
-                    body,
-                    origin=f"remote:{self.node_id}",
-                    mode=request.mode.to_dict(),
-                    replay=request.to_dict()["replay"],
-                    run_id=request_id,
-                    frames_path=str(frames_path) if frames_path else "",
-                    created=self.clock(),
-                )
-            )
 
     def run_load_sweep(
         self,

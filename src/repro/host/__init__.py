@@ -4,8 +4,9 @@ The paper's evaluation host is a Windows GUI application with five
 modules — GUI, communicator, database, parser, messenger.  Everything
 but the GUI exists here, headless:
 
-* :mod:`~repro.host.records` / :mod:`~repro.host.database` — per-test
-  result records and the sqlite-backed store users query after runs;
+* :mod:`~repro.host.records` / :mod:`~repro.host.ledger` — per-test
+  result records and the sqlite run ledger users query after runs
+  (one row per test);
 * :mod:`~repro.host.protocol` — JSON wire frames;
 * :mod:`~repro.host.communicator` — TCP socket channel between the
   evaluation host and workload-generator nodes;
@@ -16,7 +17,7 @@ but the GUI exists here, headless:
 """
 
 from .records import TestRecord
-from .database import ResultsDatabase
+from .ledger import RunLedger
 from .protocol import Frame, encode_frame, decode_frame, FrameReader
 from .communicator import Communicator, CommunicatorServer
 from .parser import CommandParser
@@ -25,7 +26,7 @@ from .evaluation import EvaluationHost
 
 __all__ = [
     "TestRecord",
-    "ResultsDatabase",
+    "RunLedger",
     "Frame",
     "encode_frame",
     "decode_frame",

@@ -3,14 +3,15 @@
 Ties the pieces together:
 
 1. *Setting up the environment* — construct the host with a device
-   under test (or a device factory), a trace repository, a results
-   database, and a multichannel meter;
+   under test (or a device factory), a trace repository, a run ledger
+   (the results database), and a multichannel meter;
 2. *Building a trace repository* — :meth:`EvaluationHost.build_repository`
    collects the synthetic matrix via the workload generator;
 3. *Testing energy efficiency* — :meth:`EvaluationHost.run_test` applies
    a :class:`~repro.config.TestRequest`: look up the trace, arm monitor
-   and power channel, replay at the configured load proportion, store a
-   :class:`~repro.host.records.TestRecord`, and return it.
+   and power channel, replay at the configured load proportion, record
+   the test as one ledger row, and return it as a
+   :class:`~repro.host.records.TestRecord`.
 
 A fresh simulator and device per test keeps tests independent, exactly
 as the paper resets the array between runs.
@@ -23,16 +24,12 @@ from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from ..config import LOAD_LEVELS, ReplayConfig, TestRequest, WorkloadMode
-from ..errors import RepositoryError, TracerError
-from ..replay.results import ReplayResult
 from ..replay.session import ReplaySession
 from ..storage.base import StorageDevice
-from ..telemetry.stream import frames_to_jsonl
 from ..trace.record import Trace
-from ..trace.repository import TraceName, TraceRepository
+from ..trace.repository import TraceRepository
 from ..workload.matrix import build_matrix
-from .database import ResultsDatabase
-from .ledger import RunLedger, build_record, new_run_id
+from .ledger import RunLedger, record_test
 from .records import TestRecord
 
 DeviceFactory = Callable[[], StorageDevice]
@@ -46,13 +43,15 @@ class EvaluationHost:
     device_factory:
         Builds a fresh device under test for each run.
     device_label:
-        Repository/database label for this device (e.g. ``hdd-raid5``).
+        Repository/ledger label for this device (e.g. ``hdd-raid5``).
     repository:
         Trace repository to collect into / replay from.
-    database:
-        Results store; an in-memory one is created if omitted.
     clock:
         Source of record timestamps (injectable for deterministic tests).
+    ledger:
+        Results store, one row per test; an in-memory one if omitted.
+    frames_dir:
+        Where streamed interval frames of a test are written.
     """
 
     def __init__(
@@ -60,7 +59,6 @@ class EvaluationHost:
         device_factory: DeviceFactory,
         device_label: str,
         repository: TraceRepository,
-        database: Optional[ResultsDatabase] = None,
         clock: Callable[[], float] = _time.time,
         ledger: Optional[RunLedger] = None,
         frames_dir: Optional[Union[str, Path]] = None,
@@ -68,10 +66,9 @@ class EvaluationHost:
         self.device_factory = device_factory
         self.device_label = device_label
         self.repository = repository
-        self.database = database if database is not None else ResultsDatabase()
         self.clock = clock
-        self.ledger = ledger
-        self.frames_dir = Path(frames_dir) if frames_dir is not None else None
+        self.ledger = ledger if ledger is not None else RunLedger()
+        self.frames_dir = frames_dir
 
     # -- §III-B step 2: build the trace repository -------------------------
 
@@ -111,12 +108,12 @@ class EvaluationHost:
         stream_interval: Optional[float] = None,
         on_frame: Optional[Callable] = None,
     ) -> TestRecord:
-        """Execute one test and store its record.
+        """Execute one test and record it as one ledger row.
 
         ``trace`` overrides the repository lookup (used for real-world
         traces that are not part of the synthetic matrix).
-        ``store_cycles`` additionally persists the per-cycle series
-        (the GUI's real-time curves) alongside the summary record.
+        ``store_cycles`` additionally attaches the per-cycle series
+        (the GUI's real-time curves) to the row.
         ``stream_interval``/``on_frame`` enable interval-frame streaming
         for this run (see :class:`~repro.replay.session.ReplaySession`).
         """
@@ -130,43 +127,16 @@ class EvaluationHost:
             on_frame=on_frame,
         )
         result = session.run(trace, load_proportion=request.mode.load_proportion)
-        record = TestRecord.from_result(
-            result,
-            mode=request.mode,
-            device_label=self.device_label,
-            test_time=self.clock(),
-            label=request.label,
+        return record_test(
+            self.ledger,
+            result.to_dict(),
+            request,
+            self.device_label,
+            origin="local",
+            created=self.clock(),
+            frames_dir=self.frames_dir,
+            cycles=result.cycles() if store_cycles else None,
         )
-        record_id = self.database.insert(record)
-        if store_cycles:
-            self.database.insert_cycles(record_id, result.cycles())
-        telemetry = result.metadata.get("telemetry")
-        if telemetry:
-            self.database.insert_telemetry(record_id, telemetry)
-        self._record_run(request, result)
-        return record
-
-    def _record_run(self, request: TestRequest, result: ReplayResult) -> None:
-        """Persist interval frames and the run-ledger row, when enabled."""
-        run_id = new_run_id()
-        frames = result.interval_frames
-        frames_path: Optional[Path] = None
-        if frames and self.frames_dir is not None:
-            self.frames_dir.mkdir(parents=True, exist_ok=True)
-            frames_path = self.frames_dir / f"run-{run_id}.jsonl"
-            frames_path.write_text(frames_to_jsonl(frames), encoding="utf-8")
-        if self.ledger is not None:
-            self.ledger.append(
-                build_record(
-                    result.to_dict(),
-                    origin="local",
-                    mode=request.mode.to_dict(),
-                    replay=request.to_dict()["replay"],
-                    run_id=run_id,
-                    frames_path=str(frames_path) if frames_path else "",
-                    created=self.clock(),
-                )
-            )
 
     def run_load_sweep(
         self,
@@ -228,5 +198,5 @@ class EvaluationHost:
     # -- Queries -------------------------------------------------------------
 
     def query(self, **kwargs) -> List[TestRecord]:
-        """Query stored results (see :meth:`ResultsDatabase.query`)."""
-        return self.database.query(device_label=self.device_label, **kwargs)
+        """This device's stored tests (see :meth:`RunLedger.tests`)."""
+        return self.ledger.tests(device_label=self.device_label, **kwargs)

@@ -9,18 +9,20 @@ of request size, random rate, read rate, and load proportion value."
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..config import WorkloadMode
 from ..errors import DatabaseError
-from ..replay.results import ReplayResult
 
 
 @dataclass(frozen=True)
 class TestRecord:
-    """One completed test, as stored by the evaluation host."""
+    """One completed test: the paper's view of a run-ledger row.
+
+    The evaluation hosts write a test with
+    :func:`~repro.host.ledger.record_test`; ``record_id`` is its run id.
+    """
 
     #: Tell pytest not to collect this class despite the Test* name.
     __test__ = False
@@ -43,87 +45,31 @@ class TestRecord:
     iops_per_watt: float
     mbps_per_kilowatt: float
     label: str = ""
-    record_id: Optional[int] = None
+    record_id: Optional[str] = None
 
     @classmethod
-    def from_result(
-        cls,
-        result: ReplayResult,
-        mode: WorkloadMode,
-        device_label: str,
-        test_time: float,
-        label: str = "",
-    ) -> "TestRecord":
-        """Build a record from a replay result."""
-        samples = result.power_samples
-        total_t = sum(s.duration for s in samples)
-        if total_t > 0:
-            amps = sum(s.amperes * s.duration for s in samples) / total_t
-            volts = sum(s.volts * s.duration for s in samples) / total_t
-        else:
-            amps = 0.0
-            volts = 0.0
-        return cls(
-            test_time=test_time,
-            device_label=device_label,
-            mode=mode,
-            mean_amperes=amps,
-            mean_volts=volts,
-            mean_watts=result.mean_watts,
-            energy_joules=result.energy_joules,
-            iops=result.iops,
-            mbps=result.mbps,
-            mean_response=result.mean_response,
-            duration=result.duration,
-            iops_per_watt=result.iops_per_watt,
-            mbps_per_kilowatt=result.mbps_per_kilowatt,
-            label=label,
-        )
-
-    def to_row(self) -> Dict[str, Any]:
-        """Flatten for SQL storage."""
-        return {
-            "test_time": self.test_time,
-            "device_label": self.device_label,
-            "mode_json": json.dumps(self.mode.to_dict(), sort_keys=True),
-            "request_size": self.mode.request_size,
-            "random_ratio": self.mode.random_ratio,
-            "read_ratio": self.mode.read_ratio,
-            "load_proportion": self.mode.load_proportion,
-            "mean_amperes": self.mean_amperes,
-            "mean_volts": self.mean_volts,
-            "mean_watts": self.mean_watts,
-            "energy_joules": self.energy_joules,
-            "iops": self.iops,
-            "mbps": self.mbps,
-            "mean_response": self.mean_response,
-            "duration": self.duration,
-            "iops_per_watt": self.iops_per_watt,
-            "mbps_per_kilowatt": self.mbps_per_kilowatt,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_row(cls, row: Dict[str, Any]) -> "TestRecord":
-        """Inverse of :meth:`to_row` (plus the DB-assigned id)."""
+    def from_run(cls, run) -> "TestRecord":
+        """View a :class:`~repro.host.ledger.RunRecord` test row."""
+        s = run.summary
         try:
-            mode = WorkloadMode.from_dict(json.loads(row["mode_json"]))
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise DatabaseError(f"corrupt mode_json in record: {exc}") from exc
-        return cls(
-            test_time=row["test_time"],
-            device_label=row["device_label"],
-            mode=mode,
-            mean_amperes=row["mean_amperes"],
-            mean_volts=row["mean_volts"],
-            mean_watts=row["mean_watts"],
-            energy_joules=row["energy_joules"],
-            iops=row["iops"],
-            mbps=row["mbps"],
-            mean_response=row["mean_response"],
-            duration=row["duration"],
-            iops_per_watt=row["iops_per_watt"],
-            mbps_per_kilowatt=row["mbps_per_kilowatt"],
-            label=row.get("label", ""),
-            record_id=row.get("id"),
-        )
+            return cls(
+                test_time=run.created,
+                device_label=str(s["device_label"]),
+                mode=WorkloadMode.from_dict(run.mode),
+                mean_amperes=s["mean_amperes"],
+                mean_volts=s["mean_volts"],
+                mean_watts=s["mean_watts"],
+                energy_joules=s["energy_joules"],
+                iops=s["iops"],
+                mbps=s["mbps"],
+                mean_response=s["mean_response"],
+                duration=s["duration"],
+                iops_per_watt=s["iops_per_watt"],
+                mbps_per_kilowatt=s["mbps_per_kilowatt"],
+                label=str(s.get("label", "")),
+                record_id=run.run_id,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatabaseError(
+                f"run {run.run_id!r} is not a test record: {exc!r}"
+            ) from exc

@@ -204,7 +204,7 @@ class MetricsRegistry:
         """Deterministic state of every instrument, sorted by key.
 
         The returned structure is plain JSON types only, so it can ride
-        the distributed wire protocol and land in the host database
+        the distributed wire protocol and land in the host's run ledger
         unchanged.  ``include_timers`` adds the wall-clock profiling
         section (non-deterministic; off by default).
         """

@@ -6,8 +6,8 @@ import pytest
 
 from repro.analysis.export import export_cycles_csv, export_records_csv
 from repro.analysis.report import database_report
-from repro.config import WorkloadMode
-from repro.host.database import ResultsDatabase
+from repro.config import TestRequest, WorkloadMode
+from repro.host.ledger import RunLedger, record_test
 from repro.host.records import TestRecord
 
 
@@ -27,6 +27,21 @@ def make_record(device="hdd-raid5", load=1.0, rs=4096, eff=50.0):
         iops_per_watt=2.0 * load,
         mbps_per_kilowatt=eff * load,
         label="t",
+    )
+
+
+def store(ledger, rec):
+    """Record ``rec``'s test in ``ledger`` as a host would."""
+    result = {
+        name: getattr(rec, name)
+        for name in (
+            "duration", "iops", "mbps", "mean_response", "mean_watts",
+            "energy_joules", "iops_per_watt", "mbps_per_kilowatt",
+        )
+    }
+    record_test(
+        ledger, result, TestRequest(mode=rec.mode, label=rec.label),
+        rec.device_label, origin="local", created=rec.test_time,
     )
 
 
@@ -70,16 +85,16 @@ class TestCycleExport:
 
 class TestDatabaseReport:
     def test_empty_database(self):
-        with ResultsDatabase() as db:
-            text = database_report(db)
+        with RunLedger() as ledger:
+            text = database_report(ledger)
         assert "_No records._" in text
 
     def test_report_structure(self):
-        with ResultsDatabase() as db:
+        with RunLedger() as ledger:
             for device, eff in (("hdd-raid5", 50.0), ("ssd-raid5", 150.0)):
                 for load in (0.5, 1.0):
-                    db.insert(make_record(device=device, load=load, eff=eff))
-            text = database_report(db, title="demo run")
+                    store(ledger, make_record(device=device, load=load, eff=eff))
+            text = database_report(ledger, title="demo run")
         assert text.startswith("# demo run")
         assert "## hdd-raid5" in text
         assert "## ssd-raid5" in text
@@ -89,10 +104,10 @@ class TestDatabaseReport:
         assert ranking.index("ssd-raid5") < ranking.index("hdd-raid5")
 
     def test_sweep_rows_ordered_by_load(self):
-        with ResultsDatabase() as db:
+        with RunLedger() as ledger:
             for load in (1.0, 0.2, 0.6):
-                db.insert(make_record(load=load))
-            text = database_report(db)
+                store(ledger, make_record(load=load))
+            text = database_report(ledger)
         i20 = text.index("| 20 |")
         i60 = text.index("| 60 |")
         i100 = text.index("| 100 |")

@@ -44,7 +44,8 @@ class TestRemoteEvaluation:
             record = host.run_test(TestRequest(mode=MODE.at_load(0.5)))
             assert record.iops > 0
             assert record.mean_watts > 90
-            assert host.database.count() == 1
+            assert host.ledger.count() == 1
+            assert host.ledger.get(record.record_id).origin == "remote:gen-1"
             assert node.tests_served == 1
 
     def test_remote_sweep_monotone(self, node):

@@ -42,8 +42,8 @@ class TestRunTest:
         record = host.run_test(request)
         assert record.iops > 0
         assert record.mean_watts > 90
-        assert host.database.count() == 1
-        stored = host.database.query(load_proportion=0.5)
+        assert host.ledger.count() == 1
+        stored = host.ledger.tests(load_proportion=0.5)
         assert stored[0].label == "demo"
 
     def test_missing_trace_raises(self, host):
@@ -64,7 +64,7 @@ class TestLoadSweep:
             MODE, levels=levels, trace=collected_trace, label="sweep"
         )
         assert len(records) == 3
-        assert host.database.count() == 3
+        assert host.ledger.count() == 3
         iops = [r.iops for r in records]
         assert iops == sorted(iops)  # monotone in load
 
@@ -95,7 +95,7 @@ class TestMatrixEvaluation:
             progress=lambda done, total: progress.append((done, total)),
         )
         assert count == 4
-        assert host.database.count() == 4
+        assert host.ledger.count() == 4
         assert progress == [(1, 4), (2, 4), (3, 4), (4, 4)]
         # Every (mode, level) cell queryable.
         for mode in modes:

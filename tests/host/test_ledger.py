@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import ReplayConfig, TestRequest, WorkloadMode
 from repro.errors import DatabaseError
-from repro.host.database import ResultsDatabase
 from repro.host.ledger import (
     GIT_SHA_ENV,
     RunLedger,
@@ -14,8 +13,10 @@ from repro.host.ledger import (
     config_fingerprint,
     current_git_sha,
     new_run_id,
+    record_test,
     summary_from_result,
 )
+from repro.host.records import TestRecord
 
 MODE = {"request_size": 4096, "random_ratio": 0.0, "read_ratio": 0.5,
         "load_proportion": 0.5}
@@ -49,6 +50,30 @@ class TestFingerprints:
     def test_git_sha_env_override(self, monkeypatch):
         monkeypatch.setenv(GIT_SHA_ENV, "abc123")
         assert current_git_sha() == "abc123"
+
+    def test_git_sha_ignores_the_callers_checkout(self, tmp_path, monkeypatch):
+        """A run started inside another git repo records this package's
+        code identity, not that repo's HEAD."""
+        import subprocess
+
+        import repro.host.ledger as ledger_module
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "another project")
+        other_head = git("rev-parse", "--short", "HEAD")
+        monkeypatch.delenv(GIT_SHA_ENV, raising=False)
+        monkeypatch.setattr(ledger_module, "_GIT_SHA_CACHE", None)
+        monkeypatch.chdir(tmp_path)
+        record = build_record(result_dict(), origin="local", mode=MODE)
+        assert record.git_sha
+        assert record.git_sha != other_head
 
     def test_summary_extraction_covers_all_keys(self):
         summary = summary_from_result(result_dict())
@@ -170,14 +195,23 @@ class TestLedgerStore:
         with RunLedger(path) as reopened:
             assert reopened.get("persisted").run_id == "persisted"
 
-    def test_shares_results_database_connection(self):
-        db = ResultsDatabase()
-        ledger = db.run_ledger()
-        self.make(ledger, "shared")
-        # Same sqlite file/connection: a second handle sees the row.
-        assert db.run_ledger().count() == 1
-        ledger.close()  # non-owning close must not kill the shared conn
-        assert db.run_ledger().count() == 1
+    def test_test_rows_share_the_ledger_file(self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        ledger = RunLedger(path)
+        record = record_test(
+            ledger, result_dict(), TestRequest(mode=WorkloadMode(
+                **MODE)), "hdd-raid5", origin="local",
+        )
+        other = RunLedger(path)
+        # Same sqlite file: a second handle sees the test's row, by its
+        # run id, both as a run and as the paper's test record.
+        assert other.count() == 1
+        assert other.get(record.record_id).origin == "local"
+        assert other.tests() == [record]
+        ledger.close()  # closing one handle must not kill the other
+        assert other.count() == 1
+        assert TestRecord.from_run(other.get(record.record_id)) == record
+        other.close()
 
 
 class TestHostWiring:

@@ -1,8 +1,8 @@
-"""Telemetry snapshots ride the wire and land in the host database.
+"""Telemetry snapshots ride the wire and land in the host's run ledger.
 
 A generator node running with telemetry enabled embeds its registry
-delta in the test-result metadata; the host (local or remote) stores it
-in the ``test_telemetry`` table next to the record.  The round trip must
+delta in the test-result metadata; the host (local or remote) attaches
+it to the test's ledger row, read back by run id.  The round trip must
 survive the protocol's retry machinery — a lost reply may not duplicate
 or drop the snapshot.
 """
@@ -65,6 +65,11 @@ def node(stocked_repo):
         yield node
 
 
+def _snapshot(host, record):
+    """The telemetry attached to ``record``'s ledger row, or None."""
+    return host.ledger.attachment(record.record_id, "telemetry")
+
+
 def _assert_replay_snapshot(snapshot):
     """The stored blob is a real registry delta from a replay."""
     assert snapshot is not None
@@ -90,7 +95,7 @@ class TestLocalHost:
         with enabled_telemetry():
             record = host.run_test(TestRequest(mode=MODE.at_load(0.5)))
         assert record.iops > 0
-        _assert_replay_snapshot(host.database.telemetry(1))
+        _assert_replay_snapshot(_snapshot(host, record))
 
     def test_disabled_run_stores_nothing(self, stocked_repo):
         host = EvaluationHost(
@@ -99,10 +104,10 @@ class TestLocalHost:
         prior = get_registry().enabled
         set_enabled(False)
         try:
-            host.run_test(TestRequest(mode=MODE.at_load(0.5)))
+            record = host.run_test(TestRequest(mode=MODE.at_load(0.5)))
         finally:
             set_enabled(prior)
-        assert host.database.telemetry(1) is None
+        assert _snapshot(host, record) is None
 
 
 class TestRemoteRoundTrip:
@@ -113,7 +118,7 @@ class TestRemoteRoundTrip:
                     "127.0.0.1", node.port, retry=FAST_RETRY, timeout=5.0
                 ) as host:
                     record = host.run_test(TestRequest(mode=MODE.at_load(0.5)))
-                    return record, host.database.telemetry(1)
+                    return record, _snapshot(host, record)
 
             record, snapshot = bounded(dialogue)
         assert record.iops > 0
@@ -138,11 +143,13 @@ class TestRemoteRoundTrip:
                         record = host.run_test(
                             TestRequest(mode=MODE.at_load(0.5))
                         )
-                        return record, host.database.telemetry(1)
+                        return (record, _snapshot(host, record),
+                                host.ledger.count())
 
-                record, snapshot = bounded(dialogue)
+                record, snapshot, rows = bounded(dialogue)
         assert record.iops > 0
         assert node.tests_served == 1  # cache hit, not a second replay
+        assert rows == 1  # one test, one ledger row
         _assert_replay_snapshot(snapshot)
 
     def test_disabled_node_sends_no_snapshot(self, node):
@@ -150,8 +157,8 @@ class TestRemoteRoundTrip:
             with RemoteEvaluationHost(
                 "127.0.0.1", node.port, retry=FAST_RETRY, timeout=5.0
             ) as host:
-                host.run_test(TestRequest(mode=MODE.at_load(0.5)))
-                return host.database.telemetry(1)
+                record = host.run_test(TestRequest(mode=MODE.at_load(0.5)))
+                return _snapshot(host, record)
 
         prior = get_registry().enabled
         set_enabled(False)

@@ -277,6 +277,23 @@ class TestReportAndExport:
         assert "exported 10 records" in out
         assert csv_file.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["report"], ["export"], ["runs", "list"], ["trace", "jobs"],
+    ])
+    def test_missing_ledger_fails_without_creating_it(
+        self, command, tmp_path
+    ):
+        missing = tmp_path / "mistyped.sqlite"
+        argv = [*command, str(missing)]
+        if command == ["export"]:
+            argv.append(str(tmp_path / "out.csv"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code not in (0, None)
+        assert "no ledger at" in str(exc.value.code)
+        assert not missing.exists()
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestSweep:
     def test_grid_sweep_records_ledger(self, trace_file, tmp_path, capsys):
@@ -317,10 +334,29 @@ class TestSweep:
         assert rc == 0
         out = capsys.readouterr().out
         assert "100%" in out and "10%" in out
-        from repro.host.database import ResultsDatabase
+        from repro.host.ledger import RunLedger
 
-        with ResultsDatabase(db) as database:
-            assert database.count() == 10
+        with RunLedger(db) as ledger:
+            assert ledger.count() == 10
+            assert len(ledger.tests()) == 10
+
+    def test_sweep_rows_list_as_local_runs(self, trace_file, tmp_path, capsys):
+        db = tmp_path / "results.sqlite"
+        assert main(["sweep", str(trace_file), "--database", str(db)]) == 0
+        capsys.readouterr()
+        assert main(["runs", "list", str(db), "--origin", "local"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines if " local " in line]
+        assert len(rows) == 10
+        assert lines[-1].startswith("10 of 10 runs")
+        from repro.host.ledger import RunLedger
+
+        with RunLedger(db) as ledger:
+            loads = sorted(
+                ledger.get(line.split()[0]).mode["load_proportion"]
+                for line in rows
+            )
+        assert loads == pytest.approx([i / 10 for i in range(1, 11)])
 
 
 class TestSearch:
