@@ -9,7 +9,10 @@ Exercises the full streaming stack end-to-end the way CI drives it:
    and the same row reads back as the test's record through a ``tracer
    report`` subprocess;
 3. a fault-injected local replay fails a RAID-5 member mid-run, which
-   autodumps the **armed** flight recorder (``TRACER_FLIGHTREC``).
+   autodumps the **armed** flight recorder (``TRACER_FLIGHTREC``);
+4. a local ``tracer replay --live`` of the same trace stays on the
+   analytical kernel, and its frames file and live rows are
+   byte-identical to an ``--engine event`` run's.
 
 Run from the repository root::
 
@@ -17,7 +20,8 @@ Run from the repository root::
         PYTHONPATH=src python scripts/ci_streaming_smoke.py artifacts
 
 Artifacts land under the given directory (default ``artifacts/``):
-``frames/run-<id>.jsonl``, ``runs.sqlite``, and the flightrec dump.
+``frames/run-<id>.jsonl``, ``runs.sqlite``, the flightrec dump, and
+``live-auto.jsonl`` / ``live-event.jsonl``.
 """
 
 import json
@@ -39,6 +43,7 @@ def main(workdir: str = "artifacts") -> None:
     from repro.replay.session import replay_trace
     from repro.storage.array import build_hdd_raid5
     from repro.telemetry.stream import resolve_interval
+    from repro.trace.blktrace import write_trace
     from repro.trace.repository import TraceName, TraceRepository
     from repro.workload.matrix import collect_trace
 
@@ -123,6 +128,31 @@ def main(workdir: str = "artifacts") -> None:
     header = json.loads(dump.read_text().splitlines()[0])
     assert header.get("reason") == "disk_failure", header
     print(f"flight recorder dumped {dump} (reason={header['reason']})")
+
+    # 4. Watching a local replay does not choose its engine.
+    trace_file = out / "smoke.replay"
+    write_trace(trace, trace_file)
+    outputs = {}
+    for engine in ("auto", "event"):
+        outputs[engine] = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "replay", str(trace_file),
+             "--load", "50", "--live", "--stream-interval", "0.25",
+             "--engine", engine,
+             "--frames", str(out / f"live-{engine}.jsonl")],
+            check=True, capture_output=True, text=True,
+        ).stdout
+    assert "engine: kernel\n" in outputs["auto"], outputs["auto"]
+    assert "engine: event\n" in outputs["event"], outputs["event"]
+    auto_frames = (out / "live-auto.jsonl").read_bytes()
+    assert auto_frames, "live replay wrote no interval frames"
+    assert auto_frames == (out / "live-event.jsonl").read_bytes(), (
+        "kernel and event frame files differ"
+    )
+    rows = {e: o.split("replay of")[0] for e, o in outputs.items()}
+    assert rows["auto"] == rows["event"], "live rows differ between engines"
+    print(f"`tracer replay --live` stayed on the kernel; "
+          f"{len(auto_frames.splitlines())} frames byte-identical to the "
+          "event engine's")
     print("streaming smoke OK")
 
 

@@ -6,7 +6,7 @@ Subcommands mirror the evaluation workflow of §III-B:
 * ``convert``  — transform an HP ``.srt`` text trace to ``.replay``;
 * ``stats``    — print Table-III-style statistics of a trace file;
 * ``replay``   — replay a trace at a load proportion (``--live`` streams
-  per-cycle rows, the GUI stand-in);
+  interval-frame rows, the GUI stand-in);
 * ``sweep``    — full load sweep (10 %..100 %), one ledger row per level;
 * ``repo``     — list a trace repository;
 * ``profile``  — distributional workload characterisation;
@@ -126,7 +126,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    from .replay.console import ConsoleReporter, LiveFrameRenderer
+    from .replay.console import LiveFrameRenderer
     from .telemetry.flightrec import arm_autodump
     from .telemetry.stream import write_frames_jsonl
 
@@ -142,9 +142,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         trace = read_trace_packed(args.trace)
     device = _device_factory(args.device, args.disks)()
     interval = args.stream_interval if args.stream_interval > 0 else None
-    renderer = (
-        LiveFrameRenderer() if interval is not None and args.live else None
-    )
+    if interval is None and args.live:
+        interval = args.cycle
+    renderer = LiveFrameRenderer() if args.live else None
     session = ReplaySession(
         device,
         config=ReplayConfig(
@@ -152,7 +152,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
             time_scale=args.time_scale,
             engine=args.engine,
         ),
-        reporter=ConsoleReporter() if args.live and renderer is None else None,
         stream_interval=interval,
         on_frame=renderer.on_frame if renderer is not None else None,
     )
@@ -886,10 +885,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replay engine: auto picks the analytical kernel "
                    "when the run qualifies, else the event engine")
     p.add_argument("--live", action="store_true",
-                   help="stream one line per sampling cycle (GUI stand-in)")
+                   help="print one row per interval frame (GUI stand-in); "
+                   "frames close every --cycle unless --stream-interval "
+                   "is set; the engine is chosen as without --live")
     p.add_argument("--stream-interval", type=float, default=0.0,
                    help="emit interval frames every N sim seconds "
-                   "(0 = off; with --live, frames replace cycle rows)")
+                   "(0 = off, or --cycle with --live)")
     p.add_argument("--frames", default="",
                    help="write streamed interval frames to this JSONL file")
     p.add_argument("--flightrec", default="",

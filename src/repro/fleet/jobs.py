@@ -37,9 +37,9 @@ JOB_KINDS = ("replay", "grid", "search")
 #: the payload — stripping it at every dict level keeps results
 #: bit-identical with tracing on or off.
 _NONDETERMINISTIC_KEYS = ("node_id", "elapsed_seconds", "dtrace")
-#: ``engine_fallback`` is a diagnostic phrase describing *why* the
-#: analytical kernel declined; its wording depends on which in-memory
-#: trace representation the worker held, not on the evaluation.
+#: ``engine_fallback`` says why ``auto`` declined the analytical kernel;
+#: stripping it keeps such a run byte-identical to the same spec forced
+#: onto the event engine, which records no reason.
 _NONDETERMINISTIC_METADATA = ("telemetry", "interval_frames",
                               "engine_fallback")
 

@@ -1,14 +1,18 @@
-"""Live console reporting — the paper's GUI, as a terminal stream.
+"""Live console view — the paper's GUI, as a terminal stream.
 
 "The users are allowed to view real-time energy dissipation, I/O
 throughput (IOPS and MBPS), and energy-efficiency values of a tested
 storage system using the graphic user interface" (§III-B step 3).  The
-:class:`ConsoleReporter` provides the headless equivalent: one line per
-sampling cycle with throughput, power, and the combined efficiency
-metrics, streamed while the replay runs.
+:class:`LiveFrameRenderer` provides the headless equivalent: one line
+per streamed interval frame with throughput, power, and the combined
+efficiency metrics.
 
+It is a view of the replay's record, never a reason to replay
+differently: the event engine hands each frame over as it closes, the
+analytical kernel hands over the same frames once the run is solved.
 Wire it in via :class:`~repro.replay.session.ReplaySession`'s
-``reporter`` argument or the CLI's ``tracer replay --live``.
+``on_frame`` argument, ``tracer replay --live`` (one row per sampling
+cycle unless ``--stream-interval`` says otherwise) or ``tracer watch``.
 """
 
 from __future__ import annotations
@@ -18,72 +22,19 @@ import time as _time
 from typing import Callable, Optional, TextIO
 
 from ..metrics.efficiency import iops_per_watt, mbps_per_kilowatt
-from ..power.analyzer import PowerAnalyzer
-from .monitor import PerfSample
-
-
-class ConsoleReporter:
-    """Streams one formatted line per completed sampling cycle.
-
-    The reporter is handed the session's power analyzer so each
-    performance cycle is printed alongside the matching power sample
-    (both close on the same simulated instant; performance closes
-    first — the analyzer's sample for the same window is therefore the
-    previous analyzer entry by the time we print, so power pairing uses
-    the analyzer's latest *closed* window).
-    """
-
-    def __init__(self, stream: Optional[TextIO] = None) -> None:
-        self.stream = stream if stream is not None else sys.stdout
-        self._analyzer: Optional[PowerAnalyzer] = None
-        self._header_printed = False
-        self.lines_emitted = 0
-
-    def bind(self, analyzer: PowerAnalyzer) -> None:
-        """Called by the session before the replay starts."""
-        self._analyzer = analyzer
-        self._header_printed = False
-        self.lines_emitted = 0
-
-    def _print_header(self) -> None:
-        print(
-            f"{'t(s)':>8} {'IOPS':>9} {'MBPS':>8} {'resp ms':>8} "
-            f"{'Watts':>8} {'IOPS/W':>7} {'MBPS/kW':>8}",
-            file=self.stream,
-        )
-        self._header_printed = True
-
-    def on_sample(self, sample: PerfSample) -> None:
-        """Monitor hook: one line per closed performance cycle."""
-        if not self._header_printed:
-            self._print_header()
-        watts = 0.0
-        if self._analyzer is not None:
-            # Integrate the same window directly from the power source:
-            # exact, and independent of monitor/analyzer tick ordering.
-            watts = self._analyzer.source.energy_between(
-                sample.start, sample.end
-            ) / max(sample.duration, 1e-12)
-        print(
-            f"{sample.end:>8.1f} {sample.iops:>9.1f} {sample.mbps:>8.2f} "
-            f"{sample.mean_response * 1000:>8.2f} {watts:>8.2f} "
-            f"{iops_per_watt(sample.iops, watts):>7.2f} "
-            f"{mbps_per_kilowatt(sample.mbps, watts):>8.1f}",
-            file=self.stream,
-        )
-        self.lines_emitted += 1
 
 
 class LiveFrameRenderer:
-    """Renders streamed interval frames — the terminal view behind
-    ``tracer watch``.
+    """Renders streamed interval frames, one line each.
 
     Consumes interval-frame wire dicts (what
     :meth:`~repro.distributed.host_node.RemoteEvaluationHost.run_test`
     hands its ``on_progress`` callback) or
     :class:`~repro.telemetry.stream.IntervalFrame` objects, printing one
-    line per frame: throughput, response time, power, queue depth, and
-    the cumulative fault/degraded counters.
+    line per frame: throughput, response time, power, IOPS/W and
+    MBPS/kW, queue depth, and the cumulative fault/degraded counters.
+    Frame index 0 starts a run, so a renderer reused across runs prints
+    one header per run.
 
     Frames that crossed the wire carry a ``wall_emitted`` timestamp
     (the node's wall clock at push time, injected host-side); when
@@ -105,7 +56,8 @@ class LiveFrameRenderer:
         lag = f" {'lag ms':>7}" if self._show_lag else ""
         print(
             f"{'#':>4} {'t(s)':>8} {'IOPS':>9} {'MBPS':>8} {'resp ms':>8} "
-            f"{'Watts':>8} {'qdepth':>6} {'faults':>6} {'degr':>5}" + lag,
+            f"{'Watts':>8} {'IOPS/W':>7} {'MBPS/kW':>8} "
+            f"{'qdepth':>6} {'faults':>6} {'degr':>5}" + lag,
             file=self.stream,
         )
         self._header_printed = True
@@ -114,10 +66,10 @@ class LiveFrameRenderer:
         """Render one interval frame (wire dict or IntervalFrame)."""
         if not isinstance(frame, dict):
             frame = frame.to_dict()
-        if not self._header_printed:
+        if not self._header_printed or frame["index"] == 0:
             # Lag column appears only for wire frames that carry the
-            # emit timestamp; decided at first frame so local replays
-            # keep the historical layout.
+            # emit timestamp; decided at a run's first frame so local
+            # replays keep the historical layout.
             self._show_lag = "wall_emitted" in frame
             self._print_header()
         duration = max(frame["end"] - frame["start"], 1e-12)
@@ -130,6 +82,8 @@ class LiveFrameRenderer:
         line = (
             f"{frame['index']:>4} {frame['end']:>8.2f} {iops:>9.1f} "
             f"{mbps:>8.2f} {resp * 1000:>8.2f} {watts:>8.2f} "
+            f"{iops_per_watt(iops, watts):>7.2f} "
+            f"{mbps_per_kilowatt(mbps, watts):>8.1f} "
             f"{frame['queue_depth']:>6} {faults:>6} "
             f"{frame.get('degraded_requests', 0):>5}"
         )

@@ -46,20 +46,15 @@ class PerfSample:
 class PerformanceMonitor:
     """Counts completions per sampling cycle on the simulation clock.
 
-    ``on_sample`` (if given) is invoked with each completed
-    :class:`PerfSample` the moment its cycle closes — the hook the live
-    console reporter (and any GUI stand-in) listens on.
+    Closed cycles accumulate in :attr:`samples`; a live view watches the
+    replay's interval frames instead
+    (:class:`~repro.replay.console.LiveFrameRenderer`).
     """
 
-    def __init__(
-        self,
-        sampling_cycle: float = 1.0,
-        on_sample=None,
-    ) -> None:
+    def __init__(self, sampling_cycle: float = 1.0) -> None:
         if sampling_cycle <= 0:
             raise ReplayError(f"sampling_cycle must be > 0, got {sampling_cycle}")
         self.sampling_cycle = float(sampling_cycle)
-        self.on_sample = on_sample
         self.samples: List[PerfSample] = []
         self._sim: Optional[Simulator] = None
         self._armed = False
@@ -114,8 +109,6 @@ class PerformanceMonitor:
         self._count = 0
         self._bytes = 0
         self._response = 0.0
-        if self.on_sample is not None:
-            self.on_sample(sample)
 
     def record(self, completion: Completion) -> None:
         """Hook for the replay engine: account one finished request."""

@@ -46,6 +46,12 @@ class ReplaySession:
         when given, the device is wrapped in a
         :class:`~repro.faults.injector.FaultInjector` and the run's
         injected faults are surfaced in ``ReplayResult.fault_events``.
+    stream_interval, on_frame:
+        Seconds of sim time per :class:`~repro.telemetry.stream.IntervalFrame`
+        (``None`` defers to ``TRACER_TELEMETRY_INTERVAL``), and a callback
+        handed each frame.  Watching never picks the engine: the event
+        engine delivers frames as they close, the kernel delivers the
+        same frames once the run is solved.
     """
 
     def __init__(
@@ -54,7 +60,6 @@ class ReplaySession:
         config: Optional[ReplayConfig] = None,
         sensor: Optional[HallSensor] = None,
         thermal: bool = False,
-        reporter=None,
         faults: Optional[FaultSchedule] = None,
         stream_interval: Optional[float] = None,
         on_frame=None,
@@ -74,7 +79,6 @@ class ReplaySession:
             self.config = replace(self.config, engine=engine)
         self.sensor = sensor
         self.thermal = thermal
-        self.reporter = reporter
         # Streaming observability: seconds of sim time per interval
         # frame (0 = off).  ``None`` defers to TRACER_TELEMETRY_INTERVAL
         # so long remote replays can be made observable per process.
@@ -119,10 +123,6 @@ class ReplaySession:
             return "fault injection active"
         if self.thermal:
             return "thermal monitoring enabled"
-        if self.reporter is not None:
-            return "live reporter attached"
-        if self.on_frame is not None:
-            return "per-frame callback attached"
         return None
 
     def _result(
@@ -329,6 +329,10 @@ class ReplaySession:
 
                 sink = CaptureSink()
             outcome = self._run_event(sim, manipulated, sink)
+        elif self.on_frame is not None:
+            # The kernel solved the whole run at once: one burst.
+            for frame in outcome.frames:
+                self.on_frame(frame)
         if tele_mark is not None:
             t_replay.add(_time.perf_counter() - _wall0)
         if self.capture_sink is not None:
@@ -358,19 +362,12 @@ class ReplaySession:
     def _run_event(self, sim: Simulator, manipulated, sink) -> ReplayOutcome:
         """Replay on the event calendar; ``sink`` (a CaptureSink, or
         None) observes every completion."""
-        monitor = PerformanceMonitor(
-            sampling_cycle=self.config.sampling_cycle,
-            on_sample=(
-                self.reporter.on_sample if self.reporter is not None else None
-            ),
-        )
+        monitor = PerformanceMonitor(sampling_cycle=self.config.sampling_cycle)
         analyzer = PowerAnalyzer(
             self._power_source(),
             sampling_cycle=self.config.sampling_cycle,
             sensor=self.sensor,
         )
-        if self.reporter is not None:
-            self.reporter.bind(analyzer)
         target = unwrap(self.device)
         recorder = None
         on_completion = monitor.record

@@ -140,11 +140,11 @@ class TestRestartAndTotals:
         assert mon.total_bytes == 1024
 
     def test_on_sample_fires_for_partial_final_cycle(self, sim):
-        seen = []
-        mon = PerformanceMonitor(sampling_cycle=1.0, on_sample=seen.append)
+        mon = PerformanceMonitor(sampling_cycle=1.0)
         mon.start(sim)
         sim.schedule(1.4, lambda: mon.record(completion(1.4)))
         sim.run(until=1.4)
+        assert [pytest.approx(s.end) for s in mon.samples] == [1.0]
         mon.stop()
-        assert [pytest.approx(s.end) for s in seen] == [1.0, 1.4]
-        assert seen[-1].completed == 1
+        assert [pytest.approx(s.end) for s in mon.samples] == [1.0, 1.4]
+        assert mon.samples[-1].completed == 1
