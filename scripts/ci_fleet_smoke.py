@@ -149,8 +149,7 @@ def main(workdir: str = "artifacts") -> None:
     frames_file = out / "frames" / f"fleet-{jobs[0].job_id}.jsonl"
     frames_file.write_text(
         "".join(
-            json.dumps(f if isinstance(f, dict) else f.to_dict(),
-                       sort_keys=True) + "\n"
+            json.dumps(f, sort_keys=True) + "\n"
             for f in frames
         )
     )

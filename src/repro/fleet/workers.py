@@ -192,6 +192,13 @@ class EvaluationContext:
         if spec.kind == "replay":
             from ..replay.session import replay_trace
 
+            # Watchers get wire dicts from every worker kind, local or
+            # remote (``FrameFn``), never the session's frame objects.
+            deliver = None
+            if on_frame is not None:
+                def deliver(frame) -> None:
+                    on_frame(frame.to_dict())
+
             result = replay_trace(
                 trace,
                 factory(),
@@ -199,7 +206,7 @@ class EvaluationContext:
                 config=config,
                 faults=spec.fault_schedule(),
                 stream_interval=stream_interval,
-                on_frame=on_frame,
+                on_frame=deliver,
                 engine=spec.engine,
             )
             return result.to_dict()

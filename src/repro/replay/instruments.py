@@ -190,3 +190,12 @@ def record_replay(
             array[1:],
         ):
             reg.counter(name, array=array.name).inc(value)
+
+
+def record_rmw(reg, rmw: Tuple[int, int]) -> None:
+    """Record the kernel's RAID-5 read-modify-write fixpoint work for
+    one replay: its ``(passes, windows)``.  ``sim.*`` is the one family
+    that differs by engine."""
+    passes, windows = rmw
+    reg.counter("sim.kernel.rmw_passes").inc(passes)
+    reg.counter("sim.kernel.rmw_windows").inc(windows)

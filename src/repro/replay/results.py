@@ -9,7 +9,7 @@ Watts, IOPS/Watt, MBPS/Kilowatt).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.schedule import FaultEvent
 from ..metrics.efficiency import iops_per_watt, mbps_per_kilowatt
@@ -50,6 +50,9 @@ class ReplayOutcome:
     #: on an event replay that kept none (no capture, telemetry off).
     record: Optional[Any] = None
     thermal_samples: List[Any] = field(default_factory=list)
+    #: ``(passes, windows)`` of the kernel's RAID-5 read-modify-write
+    #: fixpoint for this run — None when it did not run.
+    rmw: Optional[Tuple[int, int]] = None
 
 
 @dataclass

@@ -58,15 +58,29 @@ class ServicePlan(ABC):
     Either way the result is bit-identical to the scalar ``_service``
     loop serving the rows in that order from the prepared cursor state.
     The analytical kernel re-evaluates one plan under many candidate
-    orders while solving the RAID-5 read-modify-write fixpoint.
+    orders while solving the RAID-5 read-modify-write fixpoint, one
+    window of each serving order at a time: :meth:`seconds` can resume
+    a window from the cursor an earlier window left (``after``).
     """
 
     #: (n,) int64 end sector of each prepared request.
     end_sectors: "object"
+    #: (n,) bool: the rows whose service moves the cursor that the next
+    #: request's service continues from (every request on a disk, only
+    #: writes on an SSD's FTL stream).
+    cursor_rows: "object"
 
     @abstractmethod
-    def seconds(self, order) -> "object":
-        """Service seconds of the rows served in ``order`` (same shape)."""
+    def seconds(self, order, after=None) -> "object":
+        """Service seconds of the rows served in ``order`` (same shape).
+
+        ``after`` (one entry per order row) resumes each row from the
+        end state of prepared row ``after[i]`` — the last
+        :attr:`cursor_rows` row served before it — instead of the
+        prepared cursors; ``-1`` keeps the prepared cursors.  Serving
+        ``head`` and then ``tail`` this way is bit-identical to serving
+        ``head + tail`` in one order.
+        """
 
     @abstractmethod
     def full(self, order) -> VectorService:

@@ -242,6 +242,7 @@ class _HDDServicePlan(ServicePlan):
         nbytes = np.asarray(nbytes, dtype=np.int64)
         self.ops = np.asarray(ops, dtype=np.int64)
         self.end_sectors = self.sectors + -(-nbytes // SECTOR_BYTES)
+        self.cursor_rows = np.ones(self.sectors.shape, dtype=bool)
         is_write = self.ops == WRITE
         # The drive's cursors at preparation: column 0 of every order
         # continues from them.
@@ -268,10 +269,10 @@ class _HDDServicePlan(ServicePlan):
         self._transfer = nbytes / rate
         self._xfer_watts = np.where(is_write, spec.write_watts, spec.read_watts)
 
-    def _terms(self, order):
+    def _terms(self, order, after=None):
         """``(cost, seek, rotation, transfer, total, ends, ops)`` of the
         rows served in ``order``, where ``cost`` is ``command_overhead
-        + turnaround``."""
+        + turnaround`` (``after``: see :meth:`ServicePlan.seconds`)."""
         spec = self.spec
         sectors = np.take(self.sectors, order)
         ends = np.take(self.end_sectors, order)
@@ -301,6 +302,20 @@ class _HDDServicePlan(ServicePlan):
         switched[..., 0] = (
             ops[..., 0] != self._last_op if self._last_op is not None else False
         )
+        if after is not None:
+            # Resumed rows continue from prepared row ``after``, whose
+            # service left the head, streaming context and last op at
+            # its own end: column 0 takes the in-order column's terms.
+            resumed = after >= 0
+            prior = np.maximum(after, 0)
+            moved = np.abs(sectors[..., 0] - np.take(self.end_sectors, prior))
+            distance[..., 0] = np.where(resumed, moved, distance[..., 0])
+            rotating[..., 0] = np.where(resumed, moved != 0, rotating[..., 0])
+            seeking[..., 0] = np.where(resumed, moved != 0, seeking[..., 0])
+            switched[..., 0] = np.where(
+                resumed, ops[..., 0] != np.take(self.ops, prior),
+                switched[..., 0],
+            )
         cost = spec.command_overhead + np.take(self._turnaround, order) * switched
         seek = (
             spec.settle_time
@@ -313,8 +328,8 @@ class _HDDServicePlan(ServicePlan):
         total = cost + seek + rotation + transfer
         return cost, seek, rotation, transfer, total, ends, ops
 
-    def seconds(self, order):
-        return self._terms(order)[4]
+    def seconds(self, order, after=None):
+        return self._terms(order, after)[4]
 
     def full(self, order) -> VectorService:
         spec = self.spec

@@ -115,6 +115,7 @@ class _SSDServicePlan(ServicePlan):
         ops = np.asarray(ops, dtype=np.int64)
         self.end_sectors = self.sectors + -(-nbytes // SECTOR_BYTES)
         self.is_write = ops == WRITE
+        self.cursor_rows = self.is_write
         self._last_write_end = drive._last_write_end
         is_write = self.is_write
         latency = np.where(is_write, spec.write_latency, spec.read_latency)
@@ -124,9 +125,10 @@ class _SSDServicePlan(ServicePlan):
         self._cost = spec.command_overhead + latency
         self._transfer = nbytes / rate
 
-    def _random(self, order):
+    def _random(self, order, after=None):
         """Writes served in ``order`` that do not continue the previous
-        write's stream (they pay the FTL merge overhead)."""
+        write's stream (they pay the FTL merge overhead); ``after``: see
+        :meth:`ServicePlan.seconds`."""
         is_write = np.take(self.is_write, order)
         ends = np.take(self.end_sectors, order)
         k = is_write.shape[-1]
@@ -145,6 +147,12 @@ class _SSDServicePlan(ServicePlan):
         dev_prev = (
             self._last_write_end if self._last_write_end is not None else -1
         )
+        if after is not None:
+            # Resumed rows continue the stream of prepared write ``after``.
+            dev_prev = np.where(
+                after >= 0, np.take(self.end_sectors, np.maximum(after, 0)),
+                dev_prev,
+            )[..., None]
         w_prev_end = np.where(prev_w >= 0, gathered, dev_prev)
         w_seq = is_write & (np.take(self.sectors, order) == w_prev_end)
         return is_write & ~w_seq
@@ -153,8 +161,8 @@ class _SSDServicePlan(ServicePlan):
         cost = np.take(self._cost, order) + self._overhead * random
         return cost + np.take(self._transfer, order)
 
-    def seconds(self, order):
-        return self._total(order, self._random(order))
+    def seconds(self, order, after=None):
+        return self._total(order, self._random(order, after))
 
     def full(self, order) -> VectorService:
         random = self._random(order)

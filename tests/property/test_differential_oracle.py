@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.proportional_filter import (
@@ -33,7 +34,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.replay.session import replay_trace
 from repro.rng import derive_seed, make_rng
 from repro.trace.blktrace import dumps, dumps_packed, loads, loads_packed
-from repro.trace.packed import PackedTrace, pack
+from repro.trace.packed import PACKED_PACKAGE_DTYPE, PackedTrace, pack
 from repro.trace.record import READ, WRITE, Bunch, IOPackage, Trace
 from repro.trace.stats import compute_stats
 
@@ -290,6 +291,66 @@ def test_kernel_vs_event_oracle(cell, seed):
         assert auto.metadata["engine"] == "event", auto.metadata
         assert "engine_fallback" in auto.metadata
         assert canon_result(auto) == canon_result(event)
+
+
+def _saturated_trace(seed: int, n: int = 600) -> PackedTrace:
+    """Write-heavy bunches (half writes) of three 64 KiB packages
+    anywhere in 2 GiB with Poisson arrivals (mean 4 ms): the
+    ``search-grid`` benchmark's shape at a fifth of its length."""
+    rng = np.random.default_rng(seed)
+    packages = np.empty(3 * n, dtype=PACKED_PACKAGE_DTYPE)
+    packages["sector"] = rng.integers(0, 1 << 22, 3 * n)
+    packages["nbytes"] = 65536
+    packages["op"] = (rng.random(3 * n) < 0.5).astype(np.int64)
+    return PackedTrace(
+        np.cumsum(rng.exponential(0.004, n)),
+        np.arange(n + 1, dtype=np.int64) * 3, packages, label="saturated",
+    )
+
+
+#: Load x time-scale cells in the 0.44-0.59 band, where saturated
+#: read-modify-write fixpoints are deepest (the end of the paper's Fig.
+#: 8/9 load sweeps): a whole-trace solve used to run out of passes on
+#: some traces here and fall back.
+SATURATED_BAND = ((1.0, 0.44), (1.0, 0.5), (1.0, 0.59), (0.8, 0.6))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_saturated_rmw_band_fuses(seed):
+    """Each band cell fuses bit-identically to the event engine, alone
+    and inside a larger fused grid chunk, and its solve slides windows."""
+    from dataclasses import replace
+
+    from repro.config import ReplayConfig
+    from repro.storage.array import build_hdd_raid5
+    from repro.telemetry import enabled_telemetry
+    from repro.workload.parallel import run_grid
+
+    def factory():
+        return build_hdd_raid5(6)
+
+    trace = _saturated_trace(seed)
+    config = ReplayConfig(sampling_cycle=1000.0)
+    grid = run_grid(
+        {"t": trace}, {"d": factory}, loads=(0.8, 1.0),
+        time_scales=(0.44, 0.5, 0.59, 0.6, 1.0), config=config,
+        engine="auto", parallel=False,
+    )
+    assert grid.fused_cells == len(grid.cells) == 10
+    fused = {(c.load, c.time_scale): c.result for c in grid.cells}
+    for load, scale in SATURATED_BAND:
+        cell = replace(config, time_scale=scale)
+        event = replay_trace(trace, factory(), load, config=cell,
+                             engine="event")
+        with enabled_telemetry() as reg:
+            mark = reg.mark()
+            alone = replay_trace(trace, factory(), load, config=cell,
+                                 engine="auto")
+            counters = reg.collect(since=mark)["counters"]
+        assert alone.metadata["engine"] == "kernel", (load, scale)
+        assert counters["sim.kernel.rmw_windows"] > 1, (load, scale)
+        assert canon_result(alone) == canon_result(event), (load, scale)
+        assert canon_result(fused[load, scale]) == canon_result(event)
 
 
 def test_engine_kernel_refuses_unqualified():

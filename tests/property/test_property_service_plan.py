@@ -7,9 +7,11 @@ grid evaluates ``(P, k)`` order matrices (one order per cell).  Every
 evaluation must be bit-identical to the device's scalar ``_service``
 loop serving the same rows in the same order from the same cursor
 state — and to ``service_times`` on the permuted columns — including
-the cursor/counter end state ``apply_state`` commits.  Hypothesis
-drives HDDs with the write cache on and off and SSDs with interleaved
-reads and writes, from fresh and non-fresh cursors.
+the cursor/counter end state ``apply_state`` commits — also when an
+order is served in two windows, the second resumed from the first's
+cursor.  Hypothesis drives HDDs with the write cache on and off and
+SSDs with interleaved reads and writes, from fresh and non-fresh
+cursors.
 """
 
 import dataclasses
@@ -135,6 +137,31 @@ def test_plan_matches_scalar_loop_and_service_times(case):
     vec.apply_state()
     assert _state(dev) == ref_state
     assert _state(twin) == ref_state
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_cases(), st.data())
+def test_resumed_windows_match_one_order(case, data):
+    """Serving a head and then resuming the tail ``after`` the head's
+    last cursor row equals serving the whole order, bit for bit — how
+    the RMW solver carries a member's service plan across a window
+    cut.  Each row of a ``(P, k)`` order cuts at its own column."""
+    kind, cursor, sectors, nbytes, ops, perms = case
+    cols = [np.array(c, dtype=np.int64) for c in (sectors, nbytes, ops)]
+    plan = _device(kind, cursor).prepare_service(*cols)
+    k = perms.shape[1]
+    cut = data.draw(st.integers(min_value=0, max_value=k - 1))
+    full = plan.seconds(perms)
+    head, tail = perms[:, :cut], perms[:, cut:]
+    after = np.full(perms.shape[0], -1, dtype=np.int64)
+    for i, row in enumerate(head):
+        moved = row[plan.cursor_rows[row]]
+        if moved.size:
+            after[i] = moved[-1]
+    assert _bits(plan.seconds(tail, after)) == _bits(full[:, cut:])
+    # -1 keeps the prepared cursors: the uncut order.
+    none = np.full(perms.shape[0], -1, dtype=np.int64)
+    assert _bits(plan.seconds(perms, none)) == _bits(full)
 
 
 def test_empty_plan():

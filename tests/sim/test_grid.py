@@ -246,6 +246,36 @@ class TestGridVsPerPointKernel:
             canon(c.result) for c in tiny.cells
         ]
 
+    def test_windowed_rmw_rows_are_chunk_neutral(self):
+        """Saturated cells slide RMW windows while their chunk-mates
+        finish in the whole-trace window; every cell equals its own
+        per-point kernel replay whether it shares a chunk or solves
+        alone (a budget too small for two cells)."""
+        from repro.storage.array import build_hdd_raid5
+        from tests.property.test_differential_oracle import _saturated_trace
+
+        def factory():
+            return build_hdd_raid5(6)
+
+        trace = _saturated_trace(3, n=300)
+        config = ReplayConfig(sampling_cycle=1000.0)
+        kwargs = dict(
+            loads=(1.0,), time_scales=(0.4, 0.5, 1.0, 2.0), config=config,
+            engine="kernel", parallel=False,
+        )
+        shared = run_grid({"t": trace}, {"d": factory}, **kwargs)
+        alone = run_grid(
+            {"t": trace}, {"d": factory}, chunk_bytes=4096, **kwargs
+        )
+        assert shared.fused_cells == alone.fused_cells == 4
+        for a, b in zip(shared.cells, alone.cells):
+            serial = replay_trace(
+                trace, factory(), a.load,
+                config=dataclasses.replace(config, time_scale=a.time_scale),
+                engine="kernel",
+            )
+            assert canon(a.result) == canon(b.result) == canon(serial), a.key
+
     def test_chunking_invariance(self):
         """A pathologically small chunk budget splits the face into many
         slabs; results must not move by a single bit."""
