@@ -34,7 +34,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from ..errors import TracerError
-from ..trace.record import Trace
+from ..trace.packed import PackedTrace, TraceLike, pack
 from ..trace.stats import compute_stats
 
 
@@ -68,13 +68,12 @@ class TraceSimilarity:
         return max(self.size_ks, self.read_ratio_delta, self.locality_tv)
 
 
-def _sizes(trace: Trace) -> np.ndarray:
-    return np.array([p.nbytes for p in trace.packages()], dtype=np.float64)
+def _sizes(trace: PackedTrace) -> np.ndarray:
+    return trace.packages["nbytes"].astype(np.float64)
 
 
-def _gaps(trace: Trace) -> np.ndarray:
-    ts = np.array([b.timestamp for b in trace], dtype=np.float64)
-    gaps = np.diff(ts)
+def _gaps(trace: PackedTrace) -> np.ndarray:
+    gaps = np.diff(trace.timestamps)
     gaps = gaps[gaps > 0]
     if gaps.size and gaps.mean() > 0:
         gaps = gaps / gaps.mean()
@@ -82,9 +81,9 @@ def _gaps(trace: Trace) -> np.ndarray:
 
 
 def _region_histogram(
-    trace: Trace, lo: int, span: int, n_regions: int = 50
+    trace: PackedTrace, lo: int, span: int, n_regions: int = 50
 ) -> np.ndarray:
-    starts = np.array([p.sector for p in trace.packages()], dtype=np.int64)
+    starts = trace.packages["sector"]
     region = np.clip((starts - lo) * n_regions // span, 0, n_regions - 1)
     counts = np.bincount(region, minlength=n_regions).astype(np.float64)
     total = counts.sum()
@@ -97,15 +96,20 @@ def _ks(a: np.ndarray, b: np.ndarray) -> float:
     return float(_scipy_stats.ks_2samp(a, b).statistic)
 
 
-def compare_traces(original: Trace, manipulated: Trace) -> TraceSimilarity:
-    """Measure how far ``manipulated`` drifted from ``original``."""
+def compare_traces(
+    original: TraceLike, manipulated: TraceLike
+) -> TraceSimilarity:
+    """Measure how far ``manipulated`` drifted from ``original``
+    (either representation)."""
     if len(original) == 0 or len(manipulated) == 0:
         raise SimilarityError("cannot compare empty traces")
+    original = pack(original)
+    manipulated = pack(manipulated)
     orig_stats = compute_stats(original)
     manip_stats = compute_stats(manipulated)
 
     # Shared spatial frame: the original's extent.
-    starts = np.array([p.sector for p in original.packages()], dtype=np.int64)
+    starts = original.packages["sector"]
     lo = int(starts.min())
     span = max(int(starts.max()) + 1 - lo, 1)
     hist_a = _region_histogram(original, lo, span)

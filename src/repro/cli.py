@@ -37,7 +37,7 @@ from .host.ledger import RunLedger
 from .metrics.summary import format_table, summarize
 from .replay.session import ReplaySession
 from .storage.array import build_hdd_raid5, build_ssd_raid5
-from .trace.blktrace import read_trace
+from .trace.blktrace import read_trace, read_trace_packed
 from .trace.repository import TraceRepository
 from .trace.srt import convert_srt_file
 from .trace.stats import compute_stats
@@ -132,14 +132,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
     if args.flightrec:
         arm_autodump(args.flightrec)
-    if args.engine == "event":
-        trace = read_trace(args.trace)
-    else:
-        # The analytical kernel only runs over the columnar layout;
-        # the packed load is also the faster path for auto.
-        from .trace.blktrace import read_trace_packed
-
-        trace = read_trace_packed(args.trace)
+    trace = read_trace_packed(args.trace)
     device = _device_factory(args.device, args.disks)()
     interval = args.stream_interval if args.stream_interval > 0 else None
     if interval is None and args.live:
@@ -181,7 +174,6 @@ def _parse_axis(text: str, flag: str) -> list:
 
 
 def cmd_sweep_grid(args: argparse.Namespace) -> int:
-    from .trace.blktrace import read_trace_packed
     from .workload.parallel import run_grid
 
     trace = read_trace_packed(args.trace)
@@ -249,7 +241,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     from .analysis.report import search_report
     from .energysaving.policy import PolicyError
     from .search import build_policies, verify_search
-    from .trace.blktrace import read_trace_packed
     from .workload.parallel import run_policy_search
 
     trace = read_trace_packed(args.trace)
@@ -495,10 +486,9 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         to_prometheus,
         write_jsonl,
     )
-    from .trace.blktrace import read_trace_packed
 
-    # The same load as ``tracer replay``'s auto engine, so the profile
-    # is of the engine that command runs.
+    # The same load as ``tracer replay``, so the profile is of the
+    # engine that command runs.
     trace = read_trace_packed(args.trace)
     with enabled_telemetry() as reg:
         device = _device_factory(args.device, args.disks)()
@@ -664,7 +654,6 @@ def cmd_fleet_serve(args: argparse.Namespace) -> int:
         TenantSpec,
         local_worker_pool,
     )
-    from .trace.blktrace import read_trace_packed
 
     context = EvaluationContext()
     for path in args.trace:

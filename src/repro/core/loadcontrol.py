@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import FilterError
-from ..trace.packed import PackedTrace, TraceLike
-from ..trace.record import Trace
+from ..trace.packed import PackedTrace, TraceLike, pack
 from .proportional_filter import ProportionalFilter
 from .timescale import TimeScaler
 
@@ -68,13 +67,13 @@ class LoadController:
         proportion = k_above / g
         return LoadPlan(intensity, proportion, intensity / proportion)
 
-    def apply(self, trace: TraceLike, intensity: float) -> TraceLike:
-        """Return the trace scaled to ``intensity`` per :meth:`plan`.
+    def apply(self, trace: TraceLike, intensity: float) -> PackedTrace:
+        """Return the packed trace scaled to ``intensity`` per :meth:`plan`.
 
-        Packed traces take the vectorised filter/scale fast paths and
-        stay packed throughout.
+        The trace is packed once; filter and scale are vectorised.
         """
         plan = self.plan(intensity)
+        trace = pack(trace)
         out = trace
         if plan.filter_proportion < 1.0:
             out = self.filter.apply(out, plan.filter_proportion)
@@ -83,9 +82,5 @@ class LoadController:
         if math.isclose(plan.filter_proportion, 1.0) and math.isclose(
             plan.time_intensity, 1.0
         ):
-            label = f"{trace.label}@100%"
-            if isinstance(trace, PackedTrace):
-                out = trace.with_label(label)
-            else:
-                out = Trace(trace.bunches, label=label)
+            out = trace.with_label(f"{trace.label}@100%")
         return out

@@ -16,10 +16,9 @@ demonstrates this on a web-server trace).
 ``random_filter_trace`` implements the strawman the paper argues
 against — random bunch selection — for the ablation benchmark.
 
-Every filter accepts both the legacy object :class:`~repro.trace.record.Trace`
-and the columnar :class:`~repro.trace.packed.PackedTrace`; the packed
-path applies the selection mask as a single vectorised gather and is
-property-tested to keep the two representations bit-identical.
+Every filter accepts either trace representation and returns a
+:class:`~repro.trace.packed.PackedTrace`: the selection mask is applied
+as a single vectorised gather over the packed columns.
 """
 
 from __future__ import annotations
@@ -30,17 +29,13 @@ import numpy as np
 
 from ..errors import FilterError
 from ..rng import make_rng
-from ..trace.packed import PackedTrace, TraceLike
-from ..trace.record import Trace
+from ..trace.packed import PackedTrace, TraceLike, pack
 from .selection import proportion_to_count, selection_mask
 
 
-def _apply_mask(trace: TraceLike, mask: np.ndarray, label: str) -> TraceLike:
-    """Keep the bunches marked by ``mask``, preserving representation."""
-    if isinstance(trace, PackedTrace):
-        return trace.select(mask, label=label)
-    bunches = [b for b, keep in zip(trace.bunches, mask) if keep]
-    return Trace(bunches, label=label)
+def _apply_mask(trace: TraceLike, mask: np.ndarray, label: str) -> PackedTrace:
+    """Keep the bunches marked by ``mask``."""
+    return pack(trace).select(mask, label=label)
 
 
 class ProportionalFilter:
@@ -64,12 +59,12 @@ class ProportionalFilter:
         """The configurable load proportions this group size supports."""
         return tuple((i + 1) / self.group_size for i in range(self.group_size))
 
-    def apply(self, trace: TraceLike, proportion: float) -> TraceLike:
+    def apply(self, trace: TraceLike, proportion: float) -> PackedTrace:
         """Return the filtered trace replaying ``proportion`` of bunches.
 
         ``proportion == 1.0`` returns a same-content trace (still a new
-        object, so callers can mutate labels safely).  Packed traces stay
-        packed and are filtered by one vectorised gather.
+        object, so callers can mutate labels safely), filtered by one
+        vectorised gather.
         """
         mask = selection_mask(len(trace), proportion, self.group_size)
         label = f"{trace.label}@{round(proportion * 100)}%"
@@ -82,7 +77,7 @@ class ProportionalFilter:
 
 def filter_trace(
     trace: TraceLike, proportion: float, group_size: int = 10
-) -> TraceLike:
+) -> PackedTrace:
     """One-shot convenience wrapper around :class:`ProportionalFilter`."""
     return ProportionalFilter(group_size).apply(trace, proportion)
 
@@ -92,7 +87,7 @@ def random_filter_trace(
     proportion: float,
     group_size: int = 10,
     seed: Optional[int] = None,
-) -> TraceLike:
+) -> PackedTrace:
     """Randomly select ``k`` bunches per group (the rejected alternative).
 
     Matches the proportional filter's per-group quota so throughput
@@ -119,7 +114,7 @@ def bernoulli_filter_trace(
     trace: TraceLike,
     proportion: float,
     seed: Optional[int] = None,
-) -> TraceLike:
+) -> PackedTrace:
     """Globally random (unstratified) selection: keep each bunch with
     probability ``proportion``.
 

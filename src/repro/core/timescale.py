@@ -14,8 +14,7 @@ offsets in a trace are preserved proportionally.
 from __future__ import annotations
 
 from ..errors import FilterError
-from ..trace.packed import PackedTrace, TraceLike
-from ..trace.record import Bunch, Trace
+from ..trace.packed import PackedTrace, TraceLike, pack
 
 
 class TimeScaler:
@@ -38,33 +37,22 @@ class TimeScaler:
         """Multiplier applied to inter-arrival gaps (1 / intensity)."""
         return 1.0 / self.intensity
 
-    def apply(self, trace: TraceLike) -> TraceLike:
-        """Return a new trace with scaled timestamps.
+    def apply(self, trace: TraceLike) -> PackedTrace:
+        """Return a new packed trace with scaled timestamps.
 
-        Packed traces stay packed: the timestamp column is rescaled in
-        one vectorised expression (bit-identical to the object path —
-        both evaluate ``origin + (t - origin) * factor`` in IEEE double).
+        The timestamp column is rescaled in one vectorised expression,
+        ``origin + (t - origin) * factor`` in IEEE double.
         """
-        if isinstance(trace, PackedTrace):
-            if len(trace) == 0 or self.intensity == 1.0:
-                return trace.with_label(trace.label)
-            origin = float(trace.timestamps[0])
-            timestamps = origin + (trace.timestamps - origin) * self.time_factor
-            return trace.with_timestamps(
-                timestamps, label=f"{trace.label}x{self.intensity:g}"
-            )
+        trace = pack(trace)
         if len(trace) == 0 or self.intensity == 1.0:
-            return Trace(trace.bunches, label=trace.label)
-        origin = trace.bunches[0].timestamp
-        factor = self.time_factor
-        bunches = [
-            Bunch(origin + (b.timestamp - origin) * factor, b.packages)
-            for b in trace
-        ]
-        label = f"{trace.label}x{self.intensity:g}"
-        return Trace(bunches, label=label)
+            return trace.with_label(trace.label)
+        origin = float(trace.timestamps[0])
+        timestamps = origin + (trace.timestamps - origin) * self.time_factor
+        return trace.with_timestamps(
+            timestamps, label=f"{trace.label}x{self.intensity:g}"
+        )
 
 
-def scale_trace(trace: TraceLike, intensity: float) -> TraceLike:
+def scale_trace(trace: TraceLike, intensity: float) -> PackedTrace:
     """One-shot convenience wrapper around :class:`TimeScaler`."""
     return TimeScaler(intensity).apply(trace)

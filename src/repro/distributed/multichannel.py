@@ -21,7 +21,7 @@ from ..replay.monitor import PerformanceMonitor
 from ..replay.results import ReplayResult
 from ..sim.engine import Simulator
 from ..storage.array import DiskArray
-from ..trace.record import Trace
+from ..trace.packed import TraceLike
 
 
 @dataclass
@@ -29,7 +29,7 @@ class ArrayRun:
     """One array's assignment in a parallel evaluation."""
 
     array: DiskArray
-    trace: Trace
+    trace: TraceLike
     load_proportion: float = 1.0
 
 
@@ -41,7 +41,10 @@ class MultiArrayEvaluation:
         self.controller = LoadController(group_size=group_size)
 
     def run(self, runs: List[ArrayRun]) -> List[ReplayResult]:
-        """Execute all runs on one shared clock; returns aligned results."""
+        """Execute all runs on one shared clock; returns aligned results.
+
+        Each run's trace is packed once, by its load controller.
+        """
         if not runs:
             raise ReplayError("no array runs given")
         sim = Simulator()

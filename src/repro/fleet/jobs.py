@@ -26,7 +26,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import FleetError
 from ..faults.schedule import DiskFailFault, FaultSchedule
-from ..trace.blktrace import Trace, dumps_packed
+from ..trace.blktrace import dumps_packed
+from ..trace.packed import pack
 
 JOB_KINDS = ("replay", "grid", "search")
 
@@ -52,11 +53,7 @@ def trace_fingerprint(trace: Any) -> str:
     packed wire encoding either way, so the fingerprint depends only on
     the trace's *contents*, not on which form happened to be in memory.
     """
-    if isinstance(trace, Trace):
-        from ..trace.packed import PackedTrace
-
-        trace = PackedTrace.from_trace(trace)
-    return hashlib.sha256(dumps_packed(trace)).hexdigest()[:16]
+    return hashlib.sha256(dumps_packed(pack(trace))).hexdigest()[:16]
 
 
 def faults_to_dict(schedule: FaultSchedule) -> Dict[str, Any]:

@@ -34,8 +34,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..config import ReplayConfig, TestRequest, WorkloadMode
 from ..errors import FleetError, ProtocolError, TracerError, WorkerDied
-from ..trace.blktrace import Trace, dumps_packed, loads_packed
-from ..trace.packed import PackedTrace
+from ..trace.blktrace import dumps_packed, loads_packed
+from ..trace.packed import PackedTrace, pack
 from .jobs import FleetJob, JobSpec, trace_fingerprint
 
 #: Optional per-dispatch chaos hook: ``chaos(worker_name, job)`` runs
@@ -77,7 +77,7 @@ def device_factory(kind: str, n_disks: int) -> Callable:
 class EvaluationContext:
     """What a local worker needs to run any job: traces plus execution.
 
-    Holds the label → :class:`Trace` map, caches trace fingerprints,
+    Holds the label → :class:`PackedTrace` map, caches trace fingerprints,
     and counts actual executions (the dedup tests assert on this — a
     cache hit must *not* bump it).
     """
@@ -102,9 +102,7 @@ class EvaluationContext:
         children, and serial comparison replays all see the canonical
         quantized form — the one the fingerprint hashes.
         """
-        if isinstance(trace, Trace):
-            trace = PackedTrace.from_trace(trace)
-        return loads_packed(dumps_packed(trace), label=label)
+        return loads_packed(dumps_packed(pack(trace)), label=label)
 
     def add_trace(self, label: str, trace: Any) -> None:
         normalized = self._normalize(label, trace)

@@ -6,13 +6,13 @@ must be replayed in parallel" (§IV-A).  The engine schedules one
 dispatch event per bunch at ``origin + (timestamp - first_timestamp)``
 and submits every package of the bunch at that instant.
 
-Both trace representations replay here.  A legacy object
-:class:`~repro.trace.record.Trace` dispatches bunch objects; a columnar
-:class:`~repro.trace.packed.PackedTrace` takes the fast path — all bunch
-events enter the calendar through one :meth:`Simulator.schedule_batch`
-(single heapify) and each dispatch hands a row range of the package
-table to :meth:`StorageDevice.submit_slice` instead of materialising
-IOPackage objects up front.
+The engine replays a :class:`~repro.trace.packed.PackedTrace` (an
+object :class:`~repro.trace.record.Trace` is packed on construction).
+All bunch events enter the calendar through one
+:meth:`Simulator.schedule_batch` (single heapify) and each dispatch
+hands a row range of the package table to
+:meth:`StorageDevice.submit_slice` instead of materialising IOPackage
+objects up front.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Callable, Optional
 from ..errors import ReplayError
 from ..sim.engine import Simulator
 from ..storage.base import Completion, StorageDevice
-from ..trace.packed import PackedTrace, TraceLike
-from ..trace.record import Bunch, IOPackage
+from ..trace.packed import TraceLike, pack
+from ..trace.record import IOPackage
 
 CompletionHook = Callable[[Completion], None]
 
@@ -34,7 +34,7 @@ class ReplayEngine:
     Parameters
     ----------
     trace:
-        The (already filtered/scaled) trace to replay — object or packed.
+        The (already filtered/scaled) trace to replay; packed here.
     device:
         Target device; must be attached to the same simulator.
     on_completion:
@@ -54,7 +54,7 @@ class ReplayEngine:
         if len(trace) == 0:
             raise ReplayError("cannot replay an empty trace")
         self.sim = sim
-        self.trace = trace
+        self.trace = pack(trace)
         self.device = device
         self.on_completion = on_completion
         self.on_finished = on_finished
@@ -62,8 +62,8 @@ class ReplayEngine:
         self.completed = 0
         self.total_packages = trace.package_count
         # Resolved once: duck-typed devices that implement ``submit``
-        # but not the packed batch hook still replay packed traces —
-        # the dispatcher falls back to per-package object dispatch.
+        # but not the packed batch hook still replay — the dispatcher
+        # falls back to per-package object dispatch.
         self._submit_slice = getattr(device, "submit_slice", None)
         self._started = False
         self.start_time: float = 0.0
@@ -79,32 +79,15 @@ class ReplayEngine:
             raise ReplayError("replay already started")
         self._started = True
         self.start_time = self.sim.now
-        if isinstance(self.trace, PackedTrace):
-            times = self.start_time + (
-                self.trace.timestamps - self.trace.timestamps[0]
-            )
-            self.sim.schedule_batch(
-                times,
-                self._dispatch_packed,
-                args_seq=[(i,) for i in range(len(self.trace))],
-                priority=5,
-            )
-        else:
-            origin = self.trace.bunches[0].timestamp
-            self.sim.schedule_batch(
-                [
-                    self.start_time + (bunch.timestamp - origin)
-                    for bunch in self.trace
-                ],
-                self._dispatch_bunch,
-                args_seq=[(bunch,) for bunch in self.trace],
-                priority=5,
-            )
-
-    def _dispatch_bunch(self, bunch: Bunch) -> None:
-        for package in bunch.packages:
-            self.issued += 1
-            self.device.submit(package, self._on_done)
+        times = self.start_time + (
+            self.trace.timestamps - self.trace.timestamps[0]
+        )
+        self.sim.schedule_batch(
+            times,
+            self._dispatch_packed,
+            args_seq=[(i,) for i in range(len(self.trace))],
+            priority=5,
+        )
 
     def _dispatch_packed(self, i: int) -> None:
         offsets = self.trace.offsets

@@ -103,23 +103,20 @@ def committed_usage(
     return members, array
 
 
-def _dispatches(trace, start: float) -> Tuple[np.ndarray, np.ndarray]:
+def _dispatches(
+    trace: PackedTrace, start: float
+) -> Tuple[np.ndarray, np.ndarray]:
     """Bunch dispatch instants and package counts in dispatch order —
     the replay engine's rebase arithmetic, ties in bunch order."""
-    if isinstance(trace, PackedTrace):
-        times = start + (trace.timestamps - trace.timestamps[0])
-        sizes = np.diff(trace.offsets)
-    else:
-        origin = trace.bunches[0].timestamp
-        times = np.array([start + (b.timestamp - origin) for b in trace])
-        sizes = np.array([len(b.packages) for b in trace])
+    times = start + (trace.timestamps - trace.timestamps[0])
+    sizes = trace.bunch_sizes
     order = np.argsort(times, kind="stable")
     return times[order], sizes[order]
 
 
 def record_replay(
     reg,
-    trace,
+    trace: PackedTrace,
     start: float,
     end: float,
     record: CompletionRecord,
@@ -128,11 +125,10 @@ def record_replay(
     array: Optional[ArrayUsage],
 ) -> None:
     """Record one finished replay's instruments into ``reg``."""
-    path = "packed" if isinstance(trace, PackedTrace) else "object"
     n = int(record.finishes.size)
-    reg.counter("replay.bunches", path=path).inc(len(trace))
-    reg.counter("replay.packages_issued", path=path).inc(trace.package_count)
-    reg.counter("replay.packages_completed", path=path).inc(n)
+    reg.counter("replay.bunches").inc(len(trace))
+    reg.counter("replay.packages_issued").inc(trace.package_count)
+    reg.counter("replay.packages_completed").inc(n)
 
     take = np.arange(_COMPLETION_SAMPLE_EVERY - 1, n, _COMPLETION_SAMPLE_EVERY)
     submits = record.submits[take]
@@ -165,9 +161,9 @@ def record_replay(
         upto = bisect_right(fin, t)
         io_spans(upto)
         done = upto
-        spans.record(SPAN_DISPATCH, t, t, packages=k, path=path)
+        spans.record(SPAN_DISPATCH, t, t, packages=k)
     io_spans(len(io))
-    spans.record(SPAN_STAGE, start, end, stage="replay", path=path)
+    spans.record(SPAN_STAGE, start, end, stage="replay")
 
     reg.counter("monitor.cycles").inc(len(perf_samples))
     reg.counter("monitor.forced_closes").inc(

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..errors import ReplayError
-from ..trace.record import IOPackage, Trace
+from ..trace.packed import TraceLike, unpack
+from ..trace.record import IOPackage
 
 RequestHandler = Callable[[IOPackage], None]
 
@@ -76,10 +77,12 @@ class RealtimeReplayer:
         self.workers = workers
         self.speedup = speedup
 
-    def replay(self, trace: Trace) -> RealtimeReport:
-        """Replay the whole trace; blocks until every request returns."""
+    def replay(self, trace: TraceLike) -> RealtimeReport:
+        """Replay the whole trace (either representation; it is walked
+        as bunch objects); blocks until every request returns."""
         if len(trace) == 0:
             raise ReplayError("cannot replay an empty trace")
+        trace = unpack(trace)
         origin_ts = trace.bunches[0].timestamp
         latenesses: List[float] = []
         lock = threading.Lock()

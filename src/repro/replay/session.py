@@ -21,7 +21,7 @@ from ..power.sensor import HallSensor
 from ..sim.engine import Simulator
 from ..storage.array import DiskArray
 from ..storage.base import StorageDevice
-from ..trace.packed import PackedTrace, TraceLike
+from ..trace.packed import TraceLike, pack
 from .engine import ReplayEngine
 from .monitor import PerformanceMonitor
 from .results import ReplayOutcome, ReplayResult
@@ -212,9 +212,9 @@ class ReplaySession:
     ) -> ReplayResult:
         """Replay ``trace`` at ``load_proportion`` and measure.
 
-        ``trace`` may be a legacy object :class:`Trace` or a columnar
-        :class:`~repro.trace.packed.PackedTrace`; packed traces stay on
-        the vectorised filter/scale/dispatch fast path throughout.
+        ``trace`` may be an object :class:`~repro.trace.record.Trace` or
+        a :class:`~repro.trace.packed.PackedTrace`; it is packed once
+        here, and filter, scale and replay run on the packed columns.
 
         Parameters
         ----------
@@ -227,6 +227,7 @@ class ReplaySession:
         """
         if len(trace) == 0:
             raise ReplayError("cannot replay an empty trace")
+        trace = pack(trace)
         sim = sim if sim is not None else Simulator()
         self.device.attach(sim)
 
@@ -243,9 +244,8 @@ class ReplaySession:
             import time as _time
 
             tele_mark = _reg.mark()
-            tele_path = "packed" if isinstance(trace, PackedTrace) else "object"
-            t_filter = _reg.timer("session.filter_seconds", path=tele_path)
-            t_replay = _reg.timer("session.replay_wall_seconds", path=tele_path)
+            t_filter = _reg.timer("session.filter_seconds")
+            t_replay = _reg.timer("session.replay_wall_seconds")
             _wall0 = _time.perf_counter()
 
         # Distributed tracing: when this run executes under a fleet

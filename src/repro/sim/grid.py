@@ -155,7 +155,7 @@ class _FrozenTimeline:
 
 
 def evaluate_grid_cells(
-    trace,
+    trace: PackedTrace,
     device: StorageDevice,
     cells: Sequence[GridCell],
     *,
@@ -180,8 +180,6 @@ def evaluate_grid_cells(
     cells = list(cells)
     if len(trace) == 0:
         raise ReplayError("cannot replay an empty trace")
-    if not isinstance(trace, PackedTrace):
-        return [CellEval(None, "object-trace replay") for _ in cells]
 
     from ..obslog import get_logger
     from ..replay.session import ReplaySession

@@ -1723,7 +1723,7 @@ def _assemble(
 
 def try_kernel_replay(
     sim: Simulator,
-    trace,
+    trace: PackedTrace,
     device: StorageDevice,
     *,
     sampling_cycle: float,
@@ -1744,8 +1744,6 @@ def try_kernel_replay(
     instant, and service plans from the members' current cursors.
     ``keep_record`` puts the completion record in ``outcome.record``.
     """
-    if not isinstance(trace, PackedTrace):
-        return None, "object-trace replay"
     if sim.pending:
         return None, "simulator calendar not empty"
     reason = _qualify_device(device)

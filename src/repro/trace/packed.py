@@ -1,4 +1,4 @@
-"""Columnar trace representation: the packed fast path.
+"""Columnar trace representation: the one trace form in execution.
 
 :class:`PackedTrace` stores a whole trace as three NumPy arrays instead
 of nested Python objects:
@@ -11,14 +11,16 @@ of nested Python objects:
 
 A multi-hundred-MB trace like cello99 becomes a few flat buffers, so the
 proportional filter, the time scaler, and the statistics pass run as
-vectorised array operations instead of per-object loops.  Conversion to
-and from the legacy :class:`~repro.trace.record.Trace` object model is
-lossless; the object API remains the compatibility surface and the two
-paths are property-tested to produce bit-identical results.
+vectorised array operations instead of per-object loops.  The object
+:class:`~repro.trace.record.Trace` stays the construction and inspection
+surface; every entry point (replay session, grid, sweep, multi-array
+evaluation, fleet admission) calls :func:`pack` once, and everything past
+it — filter, time scale, replay engine, kernel, grid — takes only a
+:class:`PackedTrace`.  Conversion both ways is lossless.
 
 Columns are widened from the on-disk layout (u8/u4/u1) to int64/int64/int8
 so that downstream arithmetic — extent sweeps, byte totals, sequentiality
-tests — happens in the exact integer types the legacy object path uses.
+tests — happens in exact integer types.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class PackedTrace:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "PackedTrace":
-        """Pack a legacy object trace (lossless)."""
+        """Pack an object trace (lossless)."""
         n = len(trace)
         timestamps = np.empty(n, dtype=np.float64)
         offsets = np.empty(n + 1, dtype=np.int64)
@@ -121,7 +123,7 @@ class PackedTrace:
         return cls(timestamps, offsets, packages, label=trace.label, validate=False)
 
     def to_trace(self) -> Trace:
-        """Unpack into the legacy object model (lossless)."""
+        """Unpack into the object model (lossless)."""
         rows = self.packages.tolist()
         offsets = self.offsets.tolist()
         timestamps = self.timestamps.tolist()
@@ -265,7 +267,7 @@ class PackedTrace:
         )
 
 
-#: Anything the load-control / replay stack accepts as a trace.
+#: Anything an entry point accepts as a trace (packed by :func:`pack`).
 TraceLike = Union[Trace, PackedTrace]
 
 
@@ -277,7 +279,7 @@ def pack(trace: TraceLike) -> PackedTrace:
 
 
 def unpack(trace: TraceLike) -> Trace:
-    """Coerce to the legacy object representation."""
+    """Coerce to the object representation."""
     if isinstance(trace, PackedTrace):
         return trace.to_trace()
     return trace

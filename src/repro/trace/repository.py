@@ -22,8 +22,8 @@ import numpy as np
 from ..config import WorkloadMode
 from ..errors import RepositoryError
 from ..units import KiB
-from .blktrace import read_trace, read_trace_packed, write_trace, write_trace_packed
-from .packed import PACKED_PACKAGE_DTYPE, PackedTrace, TraceLike
+from .blktrace import read_trace, read_trace_packed, write_trace_packed
+from .packed import PACKED_PACKAGE_DTYPE, PackedTrace, TraceLike, pack
 from .record import Trace
 
 PathLike = Union[str, Path]
@@ -182,16 +182,14 @@ class TraceRepository:
     ) -> Path:
         """Write ``trace`` under ``name``; refuses to clobber by default.
 
-        Accepts either representation.  Any stale packed sidecar for the
-        name is dropped so :meth:`load_packed` never serves old data.
+        Accepts either representation; it is written packed.  Any stale
+        packed sidecar for the name is dropped so :meth:`load_packed`
+        never serves old data.
         """
         path = self.path_for(name)
         if path.exists() and not overwrite:
             raise RepositoryError(f"trace already in repository: {path.name}")
-        if isinstance(trace, PackedTrace):
-            write_trace_packed(trace, path)
-        else:
-            write_trace(trace, path)
+        write_trace_packed(pack(trace), path)
         cache = self.packed_cache_path(name)
         if cache.exists():
             cache.unlink()

@@ -15,8 +15,7 @@ from typing import Dict, Iterable
 import numpy as np
 
 from ..units import GiB, KiB
-from .packed import PackedTrace, TraceLike
-from .record import Trace
+from .packed import TraceLike, pack
 
 
 @dataclass(frozen=True)
@@ -88,36 +87,14 @@ def compute_stats(trace: TraceLike) -> TraceStats:
     that do *not* start at the previous package's end sector — the same
     notion IOmeter's random ratio controls.
 
-    Accepts both representations; a :class:`PackedTrace` skips the
-    object walk entirely (its columns *are* the working arrays), with
-    bit-identical results.
+    Accepts either representation; the statistics are computed over the
+    packed columns.
     """
-    if isinstance(trace, PackedTrace):
-        n_bunches = len(trace)
-        sec = trace.packages["sector"]
-        size = trace.packages["nbytes"]
-        op = trace.packages["op"]
-        ts = trace.timestamps
-        bunch_sizes = trace.bunch_sizes
-    else:
-        sectors = []
-        nbytes = []
-        ops = []
-        sizes_list = []
-        timestamps = []
-        for bunch in trace:
-            sizes_list.append(len(bunch))
-            timestamps.append(bunch.timestamp)
-            for pkg in bunch.packages:
-                sectors.append(pkg.sector)
-                nbytes.append(pkg.nbytes)
-                ops.append(pkg.op)
-        n_bunches = len(trace)
-        sec = np.asarray(sectors, dtype=np.int64)
-        size = np.asarray(nbytes, dtype=np.int64)
-        op = np.asarray(ops, dtype=np.int8)
-        ts = np.asarray(timestamps, dtype=np.float64)
-        bunch_sizes = np.asarray(sizes_list, dtype=np.int64)
+    trace = pack(trace)
+    sec = trace.packages["sector"]
+    size = trace.packages["nbytes"]
+    op = trace.packages["op"]
+    ts = trace.timestamps
     if len(sec) == 0:
         return TraceStats(
             bunch_count=0,
@@ -155,7 +132,7 @@ def compute_stats(trace: TraceLike) -> TraceStats:
     mbps = (total_bytes / 1e6) / duration if duration > 0 else 0.0
 
     return TraceStats(
-        bunch_count=n_bunches,
+        bunch_count=len(trace),
         package_count=len(sec),
         total_bytes=total_bytes,
         dataset_bytes=int(dataset),
@@ -165,7 +142,7 @@ def compute_stats(trace: TraceLike) -> TraceStats:
         min_request_bytes=int(size.min()),
         duration=duration,
         random_ratio=float(random_ratio),
-        mean_bunch_size=float(np.mean(bunch_sizes)),
+        mean_bunch_size=float(np.mean(trace.bunch_sizes)),
         mean_interarrival=float(interarrivals.mean()),
         iops=iops,
         mbps=mbps,

@@ -22,6 +22,7 @@ from ..config import WorkloadMode
 from ..rng import DEFAULT_SEED, derive_seed
 from ..storage.base import StorageDevice
 from ..trace.blktrace import dumps, loads
+from ..trace.packed import pack
 from ..trace.repository import TraceName, TraceRepository
 from .matrix import collect_trace, matrix_modes
 
@@ -85,15 +86,13 @@ def kernel_sweep_eligible(trace, device_factory) -> bool:
     """Probe whether per-point replays of ``trace`` would take the kernel.
 
     Builds one throwaway device from ``device_factory`` and runs the
-    same qualification the replay session does — packed trace,
-    kernel-capable device/array.  Sweep drivers use
-    the verdict to keep ``parallel="auto"`` in-process for sweeps whose
-    points are analytical-kernel fast (pool startup would dominate).
-    The probe is conservative: any error means "not eligible".
+    same device qualification the replay session does.  Sweep drivers
+    use the verdict to keep ``parallel="auto"`` in-process for sweeps
+    whose points are analytical-kernel fast (pool startup would
+    dominate).  The probe is conservative: any error means "not
+    eligible".
     """
-    from ..trace.packed import PackedTrace
-
-    if not isinstance(trace, PackedTrace) or len(trace) == 0:
+    if len(trace) == 0:
         return False
     try:
         from ..sim.kernel import _qualify_device
@@ -126,7 +125,7 @@ def run_sweep(
     ``worker`` must be a module-level function; point payloads cross the
     process boundary pickled, so keep them small.
 
-    ``shared_trace`` (a :class:`~repro.trace.packed.PackedTrace`) is the
+    ``shared_trace`` (either representation; packed here) is the
     zero-copy path for the common one-trace-many-points shape: the
     columns are published once into POSIX shared memory
     (:mod:`repro.trace.shm`) and each pool worker maps the same pages —
@@ -147,6 +146,8 @@ def run_sweep(
     """
     global _SHARED_TRACE
     points = list(points)
+    if shared_trace is not None:
+        shared_trace = pack(shared_trace)
     if labels is not None:
         label_list = [str(lbl) for lbl in labels]
         if len(label_list) != len(points):
@@ -422,14 +423,10 @@ def _replay_points_serial(
     return out
 
 
-def _poolable(factory, trace) -> bool:
+def _poolable(factory) -> bool:
     """Can this plane's per-point work cross a process boundary?"""
     import pickle
 
-    from ..trace.packed import PackedTrace
-
-    if not isinstance(trace, PackedTrace):
-        return False
     try:
         pickle.dumps(factory)
     except Exception:
@@ -467,7 +464,7 @@ def run_grid(
     ----------
     traces:
         Mapping of label → trace, or a single trace (labelled by its
-        own ``label``).
+        own ``label``), in either representation; each is packed once.
     devices:
         Mapping of name → device factory (fresh device per call), or a
         single factory (named ``"device"``).
@@ -504,6 +501,7 @@ def run_grid(
     t_wall = _time.perf_counter()
     if not isinstance(traces, dict):
         traces = {getattr(traces, "label", "trace"): traces}
+    traces = {label: pack(trace) for label, trace in traces.items()}
     if not isinstance(devices, dict):
         devices = {"device": devices}
     loads = [float(x) for x in loads]
@@ -547,7 +545,7 @@ def run_grid(
                 if (
                     not capture
                     and _use_pool(parallel, len(points))
-                    and _poolable(factory, trace)
+                    and _poolable(factory)
                 ):
                     slab = (factory, points, cfg, stream_interval, engine)
                     slab_out = run_sweep(

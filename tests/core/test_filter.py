@@ -10,6 +10,7 @@ from repro.core.proportional_filter import (
     random_filter_trace,
 )
 from repro.errors import FilterError
+from repro.trace.packed import unpack
 from repro.trace.record import READ, Bunch, IOPackage, Trace
 
 
@@ -23,14 +24,16 @@ class TestProportionalFilter:
     def test_ten_percent_selects_tenth_of_each_group(self, small_trace):
         out = filter_trace(small_trace, 0.1)
         expected = [small_trace.bunches[9 + 10 * g] for g in range(10)]
-        assert out.bunches == expected
+        assert unpack(out).bunches == expected
 
     def test_twenty_percent_selects_fifth_and_tenth(self, small_trace):
         out = filter_trace(small_trace, 0.2)
         expected_idx = sorted(
             [4 + 10 * g for g in range(10)] + [9 + 10 * g for g in range(10)]
         )
-        assert out.bunches == [small_trace.bunches[i] for i in expected_idx]
+        assert unpack(out).bunches == [
+            small_trace.bunches[i] for i in expected_idx
+        ]
 
     def test_timestamps_preserved(self, small_trace):
         # Selected bunches replay at their ORIGINAL timestamps (§IV-A).
@@ -40,7 +43,7 @@ class TestProportionalFilter:
 
     def test_full_proportion_identity(self, small_trace):
         out = filter_trace(small_trace, 1.0)
-        assert out == small_trace
+        assert unpack(out) == small_trace
         assert out is not small_trace
 
     def test_label_records_level(self, small_trace):
@@ -124,7 +127,7 @@ class TestBernoulliFilter:
     def test_full_proportion_keeps_everything(self, small_trace):
         # proportion 1.0: random() < 1.0 is always true.
         out = bernoulli_filter_trace(small_trace, 1.0, seed=1)
-        assert out == small_trace
+        assert unpack(out) == small_trace
 
     def test_invalid_proportion(self, small_trace):
         with pytest.raises(FilterError):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.loadcontrol import LoadController
 from repro.errors import FilterError
+from repro.trace.packed import unpack
 from repro.trace.ops import interarrival_times
 
 
@@ -64,7 +65,7 @@ class TestApply:
 
     def test_identity(self, small_trace):
         out = LoadController().apply(small_trace, 1.0)
-        assert out == small_trace
+        assert unpack(out) == small_trace
 
     def test_custom_group_size(self, small_trace):
         lc = LoadController(group_size=4)

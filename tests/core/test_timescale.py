@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.timescale import TimeScaler, scale_trace
 from repro.errors import FilterError
+from repro.trace.packed import unpack
 from repro.trace.record import READ, Bunch, IOPackage, Trace
 from repro.trace.ops import interarrival_times
 
@@ -22,7 +23,7 @@ class TestTimeScaler:
 
     def test_identity(self, small_trace):
         out = scale_trace(small_trace, 1.0)
-        assert out == small_trace
+        assert unpack(out) == small_trace
 
     def test_packages_untouched(self, small_trace):
         out = scale_trace(small_trace, 5.0)
@@ -34,7 +35,7 @@ class TestTimeScaler:
             [Bunch(10.0, [IOPackage(0, 512, READ)]),
              Bunch(12.0, [IOPackage(8, 512, READ)])]
         )
-        out = scale_trace(trace, 2.0)
+        out = unpack(scale_trace(trace, 2.0))
         assert out[0].timestamp == 10.0
         assert out[1].timestamp == 11.0
 

@@ -1,16 +1,16 @@
-"""Differential oracle: every trace operation, object vs packed, exact.
+"""Differential oracle: every trace operation, packed vs object walk, exact.
 
 One parametrized test drives the full operation surface — proportional /
 random / bernoulli filtering, time scaling, statistics, codec, and
-measured replay (clean and fault-injected) — through both the legacy
-object :class:`~repro.trace.record.Trace` path and the columnar
-:class:`~repro.trace.packed.PackedTrace` fast path, on randomized seeded
-traces, and asserts the outputs are bit-identical.
+measured replay (clean and fault-injected) — through both the library,
+which runs on :class:`~repro.trace.packed.PackedTrace` columns, and the
+per-bunch object walks of :mod:`tests.object_walks` over the same
+:class:`~repro.trace.record.Trace`, on randomized seeded traces, and
+asserts the outputs are bit-identical.
 
-This consolidates the ad-hoc ``packed == object`` spot checks that grew
-across ``tests/property`` (the hypothesis-based equivalence suites in
-``test_property_packed.py`` remain as deeper per-operation probes; this
-oracle guarantees *no operation is missing* from the comparison).
+The hypothesis-based suites in ``test_property_packed.py`` remain as
+deeper per-operation probes; this oracle guarantees *no operation is
+missing* from the comparison.
 
 Comparisons are canonical serialisations (codec bytes for traces, sorted
 JSON for results), so "identical" means identical to the last bit, not
@@ -20,13 +20,14 @@ approximately equal.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.proportional_filter import (
-    ProportionalFilter,
     bernoulli_filter_trace,
+    filter_trace,
     random_filter_trace,
 )
 from repro.core.timescale import scale_trace
@@ -38,6 +39,7 @@ from repro.trace.packed import PACKED_PACKAGE_DTYPE, PackedTrace, pack
 from repro.trace.record import READ, WRITE, Bunch, IOPackage, Trace
 from repro.trace.stats import compute_stats
 
+from tests import object_walks
 from tests.telemetry_view import telemetry_view
 
 from .test_property_faults import tiny_array
@@ -84,13 +86,12 @@ def canon(value) -> object:
 def canon_result(result) -> str:
     """A replay result as sorted JSON, telemetry metadata excluded.
 
-    The telemetry snapshot labels its counters by pipeline path
-    (``path=object`` / ``path=packed``), which is *supposed* to differ
-    between the two runs; the measured physics must not.  The engine
-    provenance keys are likewise excluded: the object path can never
-    take the analytical kernel while the packed path may, and *that*
-    equivalence has its own oracle below
-    (:func:`test_kernel_vs_event_oracle`).
+    The object walk replays on the event engine while the library may
+    take the analytical kernel, so the telemetry snapshot's ``sim.*``
+    family (the engine's own work) is *supposed* to differ between the
+    two runs; the measured physics must not.  The engine provenance
+    keys are excluded for the same reason; kernel-vs-event equivalence
+    has its own oracle below (:func:`test_kernel_vs_event_oracle`).
     """
     d = result.to_dict()
     md = d.get("metadata", {})
@@ -100,29 +101,47 @@ def canon_result(result) -> str:
     return json.dumps(d, sort_keys=True)
 
 
+#: The library's operations, under the names :mod:`tests.object_walks`
+#: gives their per-bunch walks.
+LIBRARY = SimpleNamespace(
+    filter_trace=filter_trace,
+    random_filter_trace=random_filter_trace,
+    bernoulli_filter_trace=bernoulli_filter_trace,
+    scale_trace=scale_trace,
+    compute_stats=compute_stats,
+    replay_trace=replay_trace,
+)
+
+
+def _impl(trace):
+    """The object walks for a :class:`Trace`, the library for a
+    :class:`PackedTrace`."""
+    return object_walks if isinstance(trace, Trace) else LIBRARY
+
+
 def _op_proportional_filter(trace, seed):
     rng = make_rng(derive_seed(seed, "oracle-prop"))
     group = int(rng.integers(1, 11))
     proportion = int(rng.integers(1, group + 1)) / group
-    return canon(ProportionalFilter(group).apply(trace, proportion))
+    return canon(_impl(trace).filter_trace(trace, proportion, group))
 
 
 def _op_random_filter(trace, seed):
-    return canon(random_filter_trace(trace, 0.5, seed=seed))
+    return canon(_impl(trace).random_filter_trace(trace, 0.5, seed=seed))
 
 
 def _op_bernoulli_filter(trace, seed):
-    return canon(bernoulli_filter_trace(trace, 0.7, seed=seed))
+    return canon(_impl(trace).bernoulli_filter_trace(trace, 0.7, seed=seed))
 
 
 def _op_timescale(trace, seed):
     rng = make_rng(derive_seed(seed, "oracle-scale"))
     intensity = float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.7]))
-    return canon(scale_trace(trace, intensity))
+    return canon(_impl(trace).scale_trace(trace, intensity))
 
 
 def _op_stats(trace, seed):
-    return compute_stats(trace)
+    return _impl(trace).compute_stats(trace)
 
 
 def _op_codec(trace, seed):
@@ -132,18 +151,20 @@ def _op_codec(trace, seed):
 
 
 def _op_replay_clean(trace, seed):
-    return canon_result(replay_trace(trace, tiny_array(), 1.0))
+    return canon_result(_impl(trace).replay_trace(trace, tiny_array(), 1.0))
 
 
 def _op_replay_filtered(trace, seed):
-    return canon_result(replay_trace(trace, tiny_array(), 0.5))
+    return canon_result(_impl(trace).replay_trace(trace, tiny_array(), 0.5))
 
 
 def _op_replay_faulted(trace, seed):
     schedule = FaultSchedule.generate(
         seed, duration=1.0, n_members=4, sector_error_count=2
     )
-    return canon_result(replay_trace(trace, tiny_array(), faults=schedule))
+    return canon_result(
+        _impl(trace).replay_trace(trace, tiny_array(), faults=schedule)
+    )
 
 
 OPERATIONS = {
@@ -404,9 +425,8 @@ def test_degraded_raid5_writes_stay_event():
 # Policy-search oracle: the fused grid's captures, a per-point kernel
 # replay's capture, and a per-point *event* replay's capture must yield
 # bit-identical policy metrics for every (cell × policy) point; telemetry
-# must not move a cell off the fused path, and the designed fused-path
-# fallback (object trace) must be recorded while still producing
-# identical numbers.
+# must not move a cell off the fused path, and an object trace, packed at
+# entry, must fuse with identical numbers.
 # ---------------------------------------------------------------------------
 
 
@@ -525,15 +545,18 @@ def test_policy_search_telemetry_fallback_bit_identical():
         ) == []
 
 
-def test_policy_search_object_trace_fallback_bit_identical():
-    """An object Trace can't fuse ("object-trace replay") but the
-    event-path captures must score identically to the packed search."""
+def test_policy_search_object_trace_fuses_bit_identical():
+    """An object Trace is packed at entry: every base cell fuses, and
+    the scores equal the packed search's and per-point event replays'."""
     trace = random_trace(SEEDS[2])
     packed_outcome, *_ = _run_search(pack(trace), SEEDS[2])
     outcome, traces, devices, config = _run_search(trace, SEEDS[2])
-    assert outcome.fused_cells == 0
-    assert set(outcome.fallback_reasons.values()) == {"object-trace replay"}
+    assert outcome.fused_cells == 4
+    assert outcome.fallback_reasons == {}
     assert _search_metrics(outcome) == _search_metrics(packed_outcome)
+    assert _search_metrics(outcome) == _per_point_metrics(
+        outcome, traces, devices, config, "event"
+    )
     assert verify_search(
         outcome, traces, devices, _search_policies(), config=config
     ) == []

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.proportional_filter import ProportionalFilter
 from repro.core.selection import selection_mask, uniform_positions
 from repro.core.timescale import scale_trace
+from repro.trace.packed import unpack
 from repro.trace.record import READ, Bunch, IOPackage, Trace
 
 group_sizes = st.integers(min_value=1, max_value=25)
@@ -100,9 +101,8 @@ class TestFilterProperties:
     @given(small_traces(), st.integers(min_value=1, max_value=10))
     @settings(max_examples=80)
     def test_filter_subset_of_original(self, trace, k):
-        out = ProportionalFilter().apply(trace, k / 10)
-        originals = set(id(b) for b in trace.bunches)
-        assert all(id(b) in originals for b in out.bunches)
+        out = unpack(ProportionalFilter().apply(trace, k / 10))
+        assert all(b in trace.bunches for b in out.bunches)
 
     @given(small_traces(), st.floats(min_value=0.05, max_value=20.0))
     @settings(max_examples=80)

@@ -1,10 +1,11 @@
-"""Property-based tests: the packed fast path is bit-identical to the
-legacy object path.
+"""Property-based tests: the packed code is bit-identical to the
+per-bunch object walks it replaced.
 
-The columnar :class:`~repro.trace.packed.PackedTrace` is only allowed to
-be *fast* — never *different*.  Every vectorised operation (proportional
-filtering, time scaling, statistics) must produce exactly the results of
-the per-object loops it replaces, including on the awkward shapes:
+The library runs every filter, the time scaler and the statistics pass
+on :class:`~repro.trace.packed.PackedTrace` columns; it is only allowed
+to be *fast* — never *different*.  Each vectorised operation must
+produce exactly the results of its object walk in
+:mod:`tests.object_walks`, including on the awkward shapes:
 single-bunch groups, proportion 1.0, empty selections, zero-length
 traces.
 """
@@ -23,6 +24,7 @@ from repro.trace.blktrace import dumps, dumps_packed, loads, loads_packed
 from repro.trace.packed import PackedTrace, pack, unpack
 from repro.trace.record import READ, WRITE, Bunch, IOPackage, Trace
 from repro.trace.stats import compute_stats
+from tests import object_walks as walks
 
 
 @st.composite
@@ -74,6 +76,19 @@ class TestRoundTrip:
 
     @given(traces())
     @settings(max_examples=80)
+    def test_pack_unpack_pack_identical(self, trace):
+        """Packing is idempotent through the object form: columns,
+        dtypes and label all survive pack → unpack → pack."""
+        packed = pack(trace)
+        again = pack(unpack(packed))
+        assert again == packed
+        assert again.packages.dtype == packed.packages.dtype
+        assert again.label == packed.label
+        assert dumps_packed(again) == dumps_packed(packed)
+        assert pack(packed) is packed
+
+    @given(traces())
+    @settings(max_examples=80)
     def test_packed_codec_bytes_identical(self, trace):
         assert dumps_packed(pack(trace)) == dumps(trace)
 
@@ -91,26 +106,25 @@ class TestFilterEquivalence:
         """Covers single-bunch groups (group_size=1), proportion 1.0, and
         empty traces via the strategy bounds."""
         group_size, proportion = gp
-        filt = ProportionalFilter(group_size)
-        obj = filt.apply(trace, proportion)
-        packed = filt.apply(pack(trace), proportion)
-        assert isinstance(packed, PackedTrace)  # stays on the fast path
+        obj = walks.filter_trace(trace, proportion, group_size)
+        packed = ProportionalFilter(group_size).apply(trace, proportion)
+        assert isinstance(packed, PackedTrace)
         assert packed.to_trace() == obj
         assert packed.label == obj.label
 
     @given(traces(), proportions, st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=60)
     def test_random_filter(self, trace, proportion, seed):
-        obj = random_filter_trace(trace, proportion, seed=seed)
-        packed = random_filter_trace(pack(trace), proportion, seed=seed)
+        obj = walks.random_filter_trace(trace, proportion, seed=seed)
+        packed = random_filter_trace(trace, proportion, seed=seed)
         assert packed.to_trace() == obj
 
     @given(traces(min_bunches=1), proportions,
            st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=60)
     def test_bernoulli_filter(self, trace, proportion, seed):
-        obj = bernoulli_filter_trace(trace, proportion, seed=seed)
-        packed = bernoulli_filter_trace(pack(trace), proportion, seed=seed)
+        obj = walks.bernoulli_filter_trace(trace, proportion, seed=seed)
+        packed = bernoulli_filter_trace(trace, proportion, seed=seed)
         assert packed.to_trace() == obj
 
     @given(traces(min_bunches=1))
@@ -132,8 +146,8 @@ class TestTimescaleEquivalence:
     @given(traces(), st.sampled_from([0.01, 0.5, 1.0, 2.0, 10.0, 3.7]))
     @settings(max_examples=80)
     def test_scaled_timestamps_bit_identical(self, trace, intensity):
-        obj = scale_trace(trace, intensity)
-        packed = scale_trace(pack(trace), intensity)
+        obj = walks.scale_trace(trace, intensity)
+        packed = scale_trace(trace, intensity)
         assert isinstance(packed, PackedTrace)
         # Exact float equality: both paths evaluate the same IEEE-double
         # expression, so == (not approx) is the contract.
@@ -146,13 +160,13 @@ class TestStatsEquivalence:
     @given(traces())
     @settings(max_examples=60)
     def test_stats_bit_identical(self, trace):
-        assert compute_stats(pack(trace)) == compute_stats(trace)
+        assert compute_stats(trace) == walks.compute_stats(trace)
 
     @given(traces(min_bunches=1), proportions)
     @settings(max_examples=40)
     def test_stats_of_filtered_trace(self, trace, proportion):
-        """Composition: filter on the fast path, then summarise — still
-        identical to the all-object pipeline."""
-        obj_stats = compute_stats(filter_trace(trace, proportion))
-        packed_stats = compute_stats(filter_trace(pack(trace), proportion))
+        """Composition: filter, then summarise — still identical to the
+        all-object pipeline."""
+        obj_stats = walks.compute_stats(walks.filter_trace(trace, proportion))
+        packed_stats = compute_stats(filter_trace(trace, proportion))
         assert packed_stats == obj_stats

@@ -13,13 +13,14 @@ from repro.telemetry.stream import IntervalFrame
 from repro.trace.packed import pack
 
 
-def live_run(trace, cycle, renderer, load=1.0):
+def live_run(trace, cycle, renderer, load=1.0, engine=None):
     """One replay watched at the sampling cycle, as ``--live`` does."""
     session = ReplaySession(
         build_hdd_raid5(6),
         config=ReplayConfig(sampling_cycle=cycle),
         stream_interval=cycle,
         on_frame=renderer.on_frame,
+        engine=engine,
     )
     return session.run(trace, load)
 
@@ -41,18 +42,18 @@ def rows(stream):
 class TestLiveFrameRenderer:
     def test_streams_one_line_per_cycle(self, collected_trace):
         outputs = {}
-        for trace in (collected_trace, pack(collected_trace)):
+        for engine in ("event", "auto"):
             stream = io.StringIO()
             renderer = LiveFrameRenderer(stream=stream)
-            result = live_run(trace, 0.1, renderer)
+            result = live_run(collected_trace, 0.1, renderer, engine=engine)
             lines = [l for l in stream.getvalue().splitlines() if l.strip()]
             # Header + one line per completed performance cycle.
             assert "IOPS" in lines[0] and "Watts" in lines[0]
             assert renderer.frames_rendered == len(result.perf_samples)
             assert len(lines) == 1 + renderer.frames_rendered
             outputs[result.metadata["engine"]] = stream.getvalue()
-        # Object traces replay on the event engine, packed ones on the
-        # kernel; the live rows are the same either way.
+        # ``auto`` runs the kernel; the live rows equal the event
+        # engine's.
         assert outputs["event"] == outputs["kernel"]
 
     def test_live_watts_plausible(self, collected_trace):

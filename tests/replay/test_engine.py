@@ -190,22 +190,42 @@ class TestSubmitSliceFallback:
         assert device.submitted == expected
 
     def test_fallback_matches_object_dispatch(self, small_trace):
-        """Per-package fallback ≡ object-path dispatch, completion for
+        """Per-package fallback ≡ bunch-object dispatch, completion for
         completion."""
-        from repro.trace.packed import pack
+        from tests.object_walks import ObjectDispatchEngine
 
-        def run(trace):
+        def run(engine_cls):
             sim = Simulator()
             device = MinimalDevice()
             device.attach(sim)
             completions = []
-            engine = ReplayEngine(
-                sim, trace, device, on_completion=completions.append
+            engine = engine_cls(
+                sim, small_trace, device, on_completion=completions.append
             )
             engine.run_to_completion()
             return completions
 
-        assert run(small_trace) == run(pack(small_trace))
+        assert run(ReplayEngine) == run(ObjectDispatchEngine)
+
+    def test_slice_dispatch_matches_object_dispatch(self, small_trace):
+        """``submit_slice`` on a real array ≡ bunch-object dispatch."""
+        from tests.object_walks import ObjectDispatchEngine
+
+        def run(engine_cls):
+            sim = Simulator()
+            array = build_hdd_raid5(6)
+            array.attach(sim)
+            completions = []
+            engine = engine_cls(
+                sim, small_trace, array, on_completion=completions.append
+            )
+            engine.run_to_completion()
+            return [
+                (c.package, c.submit_time, c.start_time, c.finish_time)
+                for c in completions
+            ]
+
+        assert run(ReplayEngine) == run(ObjectDispatchEngine)
 
     def test_real_devices_keep_the_batch_hook(self, sim, attached_array):
         engine = ReplayEngine(

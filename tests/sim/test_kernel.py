@@ -592,10 +592,16 @@ def _raid5():
 
 
 class TestFallbackReasons:
-    def test_object_trace_stays_event_driven(self):
-        result = replay_trace(_grid_trace(), _hdd(), 1.0, engine="auto")
-        assert result.metadata["engine"] == "event"
-        assert "engine_fallback" in result.metadata
+    def test_object_trace_takes_the_kernel(self):
+        """An object trace is packed at entry: ``auto`` runs it on the
+        kernel, bit-identical to ``engine="event"``."""
+        auto = replay_trace(_grid_trace(), _hdd(), 1.0, engine="auto")
+        event = replay_trace(_grid_trace(), _hdd(), 1.0, engine="event")
+        assert auto.metadata["engine"] == "kernel"
+        assert "engine_fallback" not in auto.metadata
+        assert event.metadata["engine"] == "event"
+        assert canon(auto, engine_neutral=True) == \
+            canon(event, engine_neutral=True)
 
     def test_telemetry_keeps_the_kernel(self):
         """Instrumentation observes the kernel's replay; it never sends
@@ -609,7 +615,7 @@ class TestFallbackReasons:
         assert result.metadata["engine"] == "kernel"
         assert "engine_fallback" not in result.metadata
         counters = result.metadata["telemetry"]["counters"]
-        assert counters["replay.packages_completed{path=packed}"] == 48
+        assert counters["replay.packages_completed"] == 48
         assert counters["device.completions{device=k-hdd}"] == 48
 
     def test_faults_block_the_kernel(self):

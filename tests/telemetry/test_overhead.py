@@ -48,7 +48,7 @@ SHADOWED = {
 # after the run, never by a hot-path variant.
 UNSHADOWED = {
     "disk": ("_finish",),
-    "engine": ("_dispatch_bunch", "_dispatch_packed", "_on_done"),
+    "engine": ("_dispatch_packed", "_dispatch_rows", "_on_done"),
 }
 
 

@@ -86,7 +86,7 @@ class TestTelemetry:
             if r["name"] == "replay.packages_completed"
         ]
         assert len(completed) == 1
-        assert completed[0]["labels"] == {"path": "packed"}
+        assert completed[0]["labels"] == {}
         assert completed[0]["value"] == read_trace(trace_file).package_count
 
 

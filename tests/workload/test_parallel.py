@@ -288,14 +288,15 @@ class TestKernelAwareScheduling:
 
         assert kernel_sweep_eligible(_packed_read_trace(), hdd_factory)
 
-    def test_probe_rejects_object_trace_accepts_parity_writes(self):
+    def test_probe_accepts_object_trace_and_writes(self):
         from repro.trace.record import READ, Bunch, IOPackage, Trace
         from repro.workload.parallel import kernel_sweep_eligible
 
+        # Replays pack an object trace at entry, so it qualifies too.
         obj = Trace(
             [Bunch(0.0, [IOPackage(0, 4096, READ)])], label="obj"
         )
-        assert not kernel_sweep_eligible(obj, hdd_factory)
+        assert kernel_sweep_eligible(obj, hdd_factory)
         # RAID-5 parity writes plan as two-phase RMW flights and
         # qualify for the kernel; degraded arrays stay event-driven.
         assert kernel_sweep_eligible(_packed_write_trace(), hdd_factory)
