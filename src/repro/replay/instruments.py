@@ -188,10 +188,14 @@ def record_replay(
             reg.counter(name, array=array.name).inc(value)
 
 
-def record_rmw(reg, rmw: Tuple[int, int]) -> None:
-    """Record the kernel's RAID-5 read-modify-write fixpoint work for
-    one replay: its ``(passes, windows)``.  ``sim.*`` is the one family
-    that differs by engine."""
-    passes, windows = rmw
-    reg.counter("sim.kernel.rmw_passes").inc(passes)
-    reg.counter("sim.kernel.rmw_windows").inc(windows)
+def record_kernel(reg, outcome) -> None:
+    """Record the kernel's solve work for one replay: its RAID-5
+    read-modify-write fixpoint ``(passes, windows)`` and the tie groups
+    it put in event-calendar order.  ``sim.*`` is the one family that
+    differs by engine; an event replay records nothing here."""
+    if outcome.rmw is not None:
+        passes, windows = outcome.rmw
+        reg.counter("sim.kernel.rmw_passes").inc(passes)
+        reg.counter("sim.kernel.rmw_windows").inc(windows)
+    if outcome.tie_groups is not None:
+        reg.counter("sim.kernel.tie_groups").inc(outcome.tie_groups)

@@ -53,6 +53,9 @@ class ReplayOutcome:
     #: ``(passes, windows)`` of the kernel's RAID-5 read-modify-write
     #: fixpoint for this run — None when it did not run.
     rmw: Optional[Tuple[int, int]] = None
+    #: Tie groups the kernel put in event-calendar order — None when
+    #: the kernel did not run.
+    tie_groups: Optional[int] = None
 
 
 @dataclass

@@ -174,7 +174,7 @@ class ReplaySession:
             metadata["failed_disk"] = target.failed_disk
         if tele_mark is not None:
             from ..telemetry import get_registry
-            from .instruments import record_replay, record_rmw
+            from .instruments import record_kernel, record_replay
 
             reg = get_registry()
             members, array = usage
@@ -183,9 +183,8 @@ class ReplaySession:
                 members, array,
             )
             metadata["telemetry"] = reg.collect(since=tele_mark)
-            if outcome.rmw is not None:
-                # Registry only: the result stays engine-neutral.
-                record_rmw(reg, outcome.rmw)
+            # Registry only: the result stays engine-neutral.
+            record_kernel(reg, outcome)
         analyzer = outcome.analyzer
         return ReplayResult(
             trace_label=manipulated.label,

@@ -35,9 +35,9 @@ kernel; the grid only feeds it more rows:
 ``replay_trace(trace, factory(), load, config=replace(cfg,
 time_scale=ts), engine="kernel")`` returns, field for field.  Any cell
 the fusion cannot reproduce exactly (non-qualifying device, unsorted
-scaled timestamps, tied flight completions, pathological sampling
-cycles) is handed back to the caller with the reason, to be replayed
-per point — where ``engine="auto"`` re-derives the identical
+scaled timestamps, a read-modify-write solve costlier than an event
+replay, pathological sampling cycles) is handed back to the caller with
+the reason, to be replayed per point — where ``engine="auto"`` re-derives the identical
 user-visible fallback metadata the event path records today.
 
 The public sweep API wrapping this module is

@@ -28,11 +28,12 @@ chains reproduce left-to-right scalar addition, ``np.maximum`` is a
 selection (exact), window sums re-run the monitor's Python-float
 accumulation over ``.tolist()`` slices, and the power analyzer /
 interval recorder are fed through their *real* implementations after
-the device timelines are committed.  Anything the closed form cannot
-reproduce exactly — unsorted dispatch times, tied flight completions,
-out-of-range requests (the event path raises mid-run), pathological
-sampling cycles — raises :class:`_Fallback` *before any state is
-mutated* and the caller falls back to the event engine.
+the device timelines are committed.  Events tied at one instant are
+ordered as the event calendar orders them (:class:`_Calendar`).
+Anything the closed form cannot reproduce exactly — unsorted dispatch
+times, out-of-range requests (the event path raises mid-run),
+pathological sampling cycles — raises :class:`_Fallback` *before any
+state is mutated* and the caller falls back to the event engine.
 
 One path serves a single replay and a fused grid sweep
 (:mod:`repro.sim.grid`): :func:`_prepare_plane` does the time-independent
@@ -49,6 +50,7 @@ are documented in ``docs/performance.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -685,6 +687,7 @@ def _merge_posts(
     post_arr: np.ndarray,
     fixed: np.ndarray,
     posts: np.ndarray,
+    post_rank: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row serving order and sorted arrivals of one member.
 
@@ -703,9 +706,17 @@ def _merge_posts(
     an exact fixed/post tie is re-sorted in full.  Correctness rests on
     the tie check alone: unsorted fixed arrivals only make the merge
     sort slower.
+
+    ``post_rank`` ``(R, q)``, when given, orders equal post arrivals
+    before local order (their barriers' calendar order, see
+    :func:`_solve_two_phase`); a post still precedes an equal fixed row,
+    as local order puts it (its flight dispatched first).
     """
     n_rows, f = fixed_arr.shape
-    po = np.argsort(post_arr, axis=1, kind="stable")
+    if post_rank is None:
+        po = np.argsort(post_arr, axis=1, kind="stable")
+    else:
+        po = np.lexsort((post_rank, post_arr))
     both = np.concatenate((fixed_arr, _take_rows(post_arr, po)), axis=1)
     mo = np.argsort(both, axis=1, kind="stable")
     arrivals = _take_rows(both, mo)
@@ -722,7 +733,12 @@ def _merge_posts(
         a = np.empty(order.shape[1], dtype=np.float64)
         a[fixed] = fixed_arr[i]
         a[posts] = post_arr[i]
-        order[i] = np.argsort(a, kind="stable")
+        if post_rank is None:
+            order[i] = np.argsort(a, kind="stable")
+        else:
+            sec = np.full(a.size, np.iinfo(np.int64).max)
+            sec[posts] = post_rank[i]
+            order[i] = np.lexsort((sec, a))
         arrivals[i] = a[order[i]]
     return order, arrivals
 
@@ -776,7 +792,7 @@ class _MemberWindow:
 
     def __init__(
         self, m: _RmwMember, rows: np.ndarray, lo: int, hi: int,
-        dispatch: np.ndarray, slot0: int,
+        dispatch: np.ndarray, slot0: int, rank: Optional[np.ndarray] = None,
     ) -> None:
         self.m = m
         self.rows = rows
@@ -795,6 +811,17 @@ class _MemberWindow:
         posts = np.flatnonzero(own_post)
         self.post_cols = np.concatenate((np.arange(c), c + posts))
         self.post_barrier = m.post_barrier[a + posts]
+        # Each post column's rank among equal arrivals (carried posts
+        # by their own barrier; padding takes any).
+        self.post_rank = None if rank is None else np.concatenate(
+            (
+                _take_rows(rank[rows], m.post_barrier[
+                    np.minimum(m.carry_loc[rows, :c], k - 1)
+                ]),
+                rank[np.ix_(rows, self.post_barrier)],
+            ),
+            axis=1,
+        )
         self.fixed_arr = _rows(dispatch, rows)[:, m.flight[a:b][~own_post]]
         self.carry_arr = m.carry_arr[rows, :c]
         self.col_loc = (
@@ -844,7 +871,8 @@ class _MemberWindow:
         if self.c:
             post_arr = np.concatenate((self.carry_arr[sel], post_arr), axis=1)
         o, a = _merge_posts(
-            self.fixed_arr[sel], post_arr, self.fixed_cols, self.post_cols
+            self.fixed_arr[sel], post_arr, self.fixed_cols, self.post_cols,
+            None if self.post_rank is None else self.post_rank[sel],
         )
         sec = self.seconds[sel]
         redo = ~np.all(o == self.order[sel], axis=1)
@@ -960,6 +988,7 @@ def _solve_two_phase(
     rows: List[np.ndarray],
     plans: List[Optional[ServicePlan]],
     dispatch: np.ndarray,
+    rank: Optional[np.ndarray] = None,
 ) -> _TwoPhase:
     """Solve the per-flight two-phase (RMW) barrier exactly, in sliding
     windows of flights.
@@ -974,7 +1003,8 @@ def _solve_two_phase(
     each member's sub-I/Os by arrival (stable, so plan order breaks
     ties exactly like the event calendar: completion-issued posts carry
     lower flight indices than any dispatch tied with them, and a
-    flight's pre block precedes its post block), (b) evaluate that
+    flight's pre block precedes its post block; two flights' tied posts
+    go by ``rank``, else flight order), (b) evaluate that
     order's service seconds and Lindley finishes, (c) reduce each
     flight's pre block to its barrier instant.  Causality (service
     times are positive, posts issue strictly after their pre reads)
@@ -1044,9 +1074,12 @@ def _solve_two_phase(
     whose window is stationary rests until the window ends, and a row
     is done once a window ending at the trace end is stationary for it.
 
-    ``tied`` flags rows with arrival ties the event calendar would break
-    by schedule sequence numbers (two RMW barriers releasing at one
-    instant); callers refuse them, after the ``costly`` rows.
+    ``rank`` ``(P, barriers)``, when given, orders two flights' posts
+    that reach one member at one instant (two barriers releasing
+    together): the event calendar breaks that tie by schedule sequence
+    numbers, which depend on the solved schedule, so the caller checks
+    the choice afterwards (:func:`_rmw_calendar_solve`).  ``tied`` flags
+    the rows where such a tie occurred.
     """
     n_rows, n = dispatch.shape
     has_pre = exp.pre_counts > 0
@@ -1100,7 +1133,8 @@ def _solve_two_phase(
         windows[todo] += 1
         b0, b1 = int(bar_at[lo]), int(bar_at[hi])
         wins = [
-            _MemberWindow(m, todo, lo, hi, dispatch, b0 * width) for m in live
+            _MemberWindow(m, todo, lo, hi, dispatch, b0 * width, rank)
+            for m in live
         ]
         pre_fin = np.full((todo.size, (b1 - b0) * width), _NEG_INF)
         # The whole-trace window is cut after ``bits`` passes at the
@@ -1173,28 +1207,31 @@ def _solve_two_phase(
             m.arrivals[costly] = 0.0
             m.fin[costly] = 0.0
 
-    # Arrival ties the event calendar breaks by sequence number cannot
-    # be reproduced: equal instants at one disk are only deterministic
-    # within a flight (plan order) or between a completion-issued post
-    # and a later flight's dispatch (completions outrank dispatch
-    # events) — which stable plan-order sorting already encodes.
+    # Equal arrivals at one member keep plan order within a flight, and
+    # a completion-issued post precedes a later flight's equal dispatch
+    # (completions outrank dispatch events) — both encoded by local
+    # order.  Only two flights' posts can tie otherwise; ``rank`` (or
+    # flight order) decided them, and the caller checks that choice.
     tied = np.zeros(n_rows, dtype=bool)
     sub_fin = np.empty((n_rows, exp.total), dtype=np.float64)
     every = np.arange(n_rows)[:, None]
     for m in live:
         o, a = m.order, m.arrivals
         sub_fin[every, m.rows[o]] = m.fin
-        if m.rows.size < 2:
-            continue
-        fl = m.flight[o]
-        pm = m.is_post[o]
-        tied |= np.any(
-            (a[:, 1:] == a[:, :-1])
-            & (fl[:, 1:] != fl[:, :-1])
-            & ~(pm[:, :-1] & ~pm[:, 1:]),
-            axis=1,
-        )
+        if m.rows.size >= 2:
+            tied |= np.any(_post_ties(m, o, a), axis=1)
     return _TwoPhase(members, costly, tied, sub_fin, passes, windows)
+
+
+def _post_ties(m: _RmwMember, o: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``(R, k - 1)``: serving positions ``j`` whose post shares its
+    arrival with the post at ``j + 1`` of another flight."""
+    fl = m.flight[o]
+    pm = m.is_post[o]
+    return (
+        (a[..., 1:] == a[..., :-1]) & (fl[..., 1:] != fl[..., :-1])
+        & pm[..., 1:] & pm[..., :-1]
+    )
 
 
 @dataclass
@@ -1328,7 +1365,8 @@ class _Solution:
     ``record_rows`` holds each request's submit and start instants in
     completion order — the rest of its completion record — when the
     solve was asked to keep them.  ``rmw`` holds each row's RMW
-    fixpoint passes and windows (None off the read-modify-write path).
+    fixpoint passes and windows (None off the read-modify-write path),
+    ``ties`` each row's tie groups put in calendar order.
     """
 
     fin: np.ndarray  # (P, n)
@@ -1338,6 +1376,7 @@ class _Solution:
     link_end: Optional[np.ndarray]  # (P,) link-free instant, arrays only
     record_rows: Optional[Tuple[np.ndarray, np.ndarray]]  # (P, n) each
     rmw: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (P,) each
+    ties: Optional[np.ndarray] = None  # (P,)
 
     def row_bytes(self, i: int) -> np.ndarray:
         return self.nbytes if self.nbytes.ndim == 1 else self.nbytes[i]
@@ -1354,6 +1393,253 @@ class _Solution:
         passes, windows = self.rmw
         return int(passes[i]), int(windows[i])
 
+    def row_ties(self, i: int) -> int:
+        return 0 if self.ties is None else int(self.ties[i])
+
+
+#: How deeply one calendar-order question may nest inside another (a
+#: tie in the cause of a tie) before the row is refused.
+_MAX_TIE_DEPTH = 64
+
+
+class _Calendar:
+    """The event calendar's order among one solved row's tied events.
+
+    The calendar runs events by ``(time, priority, sequence)``, and a
+    sequence number is given out inside the callback that schedules the
+    event.  So among events at one instant the order is that of their
+    causes, then the event's position within its cause's callback.
+    Events are sub-I/O completions (ids ``0 .. total - 1``, priority 0)
+    and flight dispatches (``total + f``, priority 1).  A completion is
+    scheduled when its service starts, by:
+
+    * the member's previous completion, at position 0
+      (:meth:`QueuedDevice._finish` begins the next queued request
+      before it delivers ``on_complete``), if the sub-I/O waited;
+    * its arrival event otherwise — its flight's dispatch for a fixed
+      row (position: its index in the phase block), or the completion
+      of its flight's last-processed pre read for a post (position 1 +
+      its index in the post block).  When the previous finish equals
+      the arrival, the later-processed of the two is the cause.
+
+    Service times are positive, so a completion's cause lies strictly
+    earlier; dispatches are scheduled in flight order.  Causes and
+    pairwise answers are memoised, so a walk costs O(events it reaches).
+
+    ``schedules`` holds each serving member's ``(rows, order,
+    arrivals)``: its sub-I/Os in plan order, its ``(P, k)`` serving
+    order (None: plan order) and its arrivals in serving order; ``i``
+    picks the row.
+    """
+
+    def __init__(
+        self, exp: FlightExpansion, schedules: list, dispatch: np.ndarray,
+        sub_fin: np.ndarray, i: int,
+    ) -> None:
+        arrival = np.empty(exp.total)
+        prev = np.full(exp.total, -1, dtype=np.int64)
+        for rows, order, arrivals in schedules:
+            g = rows if order is None else rows[order[i]]
+            arrival[g] = arrivals[i]
+            prev[g[1:]] = g[:-1]
+        pre = exp.pre_counts[exp.sub_flight]
+        pos = np.arange(exp.total) - exp.flight_offsets[exp.sub_flight]
+        post = ~exp.is_pre & (pre > 0)
+        pos[post] += 1 - pre[post]
+        self.total = exp.total
+        self.offsets = exp.flight_offsets.tolist()
+        self.pre_counts = exp.pre_counts.tolist()
+        self.flight = exp.sub_flight.tolist()
+        self.pos = pos.tolist()
+        self.is_post = post.tolist()
+        self.dispatch = dispatch[i].tolist()
+        self.fin = sub_fin[i].tolist()
+        self.arrival = arrival.tolist()
+        self.prev = prev.tolist()
+        self._cause: dict = {}
+        self._lastpre: dict = {}
+        self._before: dict = {}
+        self._depth = 0
+
+    def _key(self, e: int) -> Tuple[float, int]:
+        if e < self.total:
+            return self.fin[e], 0
+        return self.dispatch[e - self.total], 1
+
+    def last(self, subs: range) -> int:
+        """The last-processed completion among ``subs`` at their latest
+        finish."""
+        fin = self.fin
+        top = max(fin[s] for s in subs)
+        best = -1
+        for s in subs:
+            if fin[s] == top and (best < 0 or self.before(best, s)):
+                best = s
+        return best
+
+    def barrier(self, f: int) -> int:
+        """The completion that issues flight ``f``'s posts: its
+        last-processed pre read."""
+        got = self._lastpre.get(f)
+        if got is None:
+            o = self.offsets[f]
+            got = self._lastpre[f] = self.last(range(o, o + self.pre_counts[f]))
+        return got
+
+    def cause(self, s: int) -> Tuple[int, int]:
+        """``(event, position)`` that scheduled sub-I/O ``s``'s completion."""
+        got = self._cause.get(s)
+        if got is not None:
+            return got
+        f = self.flight[s]
+        a = self.barrier(f) if self.is_post[s] else self.total + f
+        got = (a, self.pos[s])
+        p = self.prev[s]
+        if p >= 0 and p != a:
+            fp, arr = self.fin[p], self.arrival[s]
+            if fp > arr or (fp == arr and a < self.total and self.before(a, p)):
+                got = (p, 0)
+        self._cause[s] = got
+        return got
+
+    def before(self, x: int, y: int) -> bool:
+        """Does event ``x`` run before ``y``?  Both distinct, at one
+        ``(time, priority)``."""
+        self._depth += 1
+        if self._depth > _MAX_TIE_DEPTH:
+            raise _Fallback("calendar tie order nests too deep")
+        memo = self._before
+        seen = []
+        while True:
+            got = memo.get((x, y))
+            if got is not None:
+                break
+            seen.append((x, y))
+            if x >= self.total:
+                got = x < y  # dispatches are scheduled in flight order
+                break
+            cx, px = self.cause(x)
+            cy, py = self.cause(y)
+            if cx == cy:
+                got = px < py
+                break
+            kx, ky = self._key(cx), self._key(cy)
+            if kx != ky:
+                got = kx < ky
+                break
+            x, y = cx, cy
+        for a, b in seen:
+            memo[(a, b)] = got
+            memo[(b, a)] = not got
+        self._depth -= 1
+        return got
+
+
+def _calendar_sorted(cal: _Calendar, flights, event) -> list:
+    """``flights`` in the calendar order of their events ``event(f)``."""
+    return sorted(flights, key=cmp_to_key(
+        lambda f, g: -1 if cal.before(event(f), event(g)) else 1
+    ))
+
+
+def _post_tie_groups(cal: _Calendar, two: _TwoPhase, i: int) -> Tuple[list, bool]:
+    """Row ``i``'s groups of flights whose posts tie at some member, and
+    whether every such tie was served in calendar order."""
+    groups: dict = {}
+    agree = True
+    for m in two.members:
+        if m is None or m.rows.size < 2:
+            continue
+        o, a = m.order[i], m.arrivals[i]
+        fl = m.flight[o]
+        for j in np.flatnonzero(_post_ties(m, o, a)).tolist():
+            f, g = int(fl[j]), int(fl[j + 1])
+            agree = agree and cal.before(cal.barrier(f), cal.barrier(g))
+            groups.setdefault(float(a[j]), set()).update((f, g))
+    return list(groups.values()), agree
+
+
+def _order_tied_completions(
+    cal: _Calendar, comp: np.ndarray, fin: np.ndarray
+) -> int:
+    """Reorder each run of equal flight completions in ``comp`` (one
+    row of the completion order, ``fin`` its sorted finishes) into
+    calendar order; returns the number of runs.  A flight completes at
+    its last-processed final-phase sub-I/O."""
+    offsets, pre = cal.offsets, cal.pre_counts
+    runs = np.flatnonzero(np.diff(fin) != 0) + 1
+    bounds = np.concatenate(([0], runs, [fin.size]))
+    long = np.flatnonzero(np.diff(bounds) > 1)
+    for r in long.tolist():
+        a, b = int(bounds[r]), int(bounds[r + 1])
+        flights = comp[a:b].tolist()
+        event = {
+            f: cal.last(range(offsets[f] + pre[f], offsets[f + 1]))
+            for f in flights
+        }
+        comp[a:b] = _calendar_sorted(cal, flights, event.__getitem__)
+    return int(long.size)
+
+
+def _rmw_calendar_solve(
+    plane: _Plane, dispatch: np.ndarray, reasons: list, ties: np.ndarray
+) -> _TwoPhase:
+    """The RMW fixpoint with post ties in calendar order.
+
+    The solve orders two flights' equal post arrivals at one member by
+    ``rank`` — flight order until shown otherwise.  A solved row whose
+    tied posts went against the calendar order of its own schedule gets
+    that order as its rank and is solved again.  A schedule is exact once
+    they agree: each tie's calendar order depends only on what ran
+    before it, which the agreeing order served exactly.  Each re-solve
+    settles at least the earliest disagreeing tie, so the loop ends.
+    Rows whose calendar walk nests too deep are refused in ``reasons``;
+    ``ties`` counts each row's post tie groups.
+    """
+    exp = plane.exp
+    rows = [m.rows for m in plane.members]
+    plans = [m.plan for m in plane.members]
+    two = _solve_two_phase(exp, rows, plans, dispatch)
+    bar_col = np.cumsum(exp.pre_counts > 0) - 1
+    rank = None
+    while True:
+        redo = []
+        for i in np.flatnonzero(two.tied & ~two.costly).tolist():
+            if reasons[i] is not None:
+                continue
+            try:
+                cal = _Calendar(
+                    exp,
+                    [(m.rows, m.order, m.arrivals)
+                     for m in two.members if m is not None],
+                    dispatch, two.sub_fin, i,
+                )
+                groups, agree = _post_tie_groups(cal, two, i)
+                if agree:
+                    ties[i] += len(groups)
+                    continue
+                if rank is None:
+                    rank = np.tile(np.arange(bar_col[-1] + 1), (len(reasons), 1))
+                for group in groups:
+                    cols = bar_col[_calendar_sorted(cal, group, cal.barrier)]
+                    rank[i, cols] = np.sort(rank[i, cols])
+            except _Fallback as exc:
+                reasons[i] = exc.reason
+                continue
+            redo.append(i)
+        if not redo:
+            return two
+        again = _solve_two_phase(exp, rows, plans, dispatch[redo], rank[redo])
+        for m, r in zip(two.members, again.members):
+            if m is not None:
+                m.order[redo], m.arrivals[redo], m.fin[redo] = (
+                    r.order, r.arrivals, r.fin
+                )
+        for name in ("costly", "tied", "sub_fin"):
+            getattr(two, name)[redo] = getattr(again, name)
+        two.passes[redo] += again.passes
+        two.windows[redo] += again.windows
+
 
 def _solve_plane(
     plane: _Plane, submit: np.ndarray, keep_record: bool = False
@@ -1366,15 +1652,19 @@ def _solve_plane(
     :func:`_solve_two_phase`), and reduces sub-I/O finishes to flight
     completions.  Returns one refusal reason per row (None where the row
     solved) and the solution, None when every row is refused.  A row
-    keeps its first refusal in this order: an RMW fixpoint that would
+    keeps its first refusal in this order: a calendar walk that nests
+    too deep while ordering tied RMW posts, an RMW fixpoint that would
     cost more than an event replay (it has no pass cap; see
-    :func:`_solve_two_phase`), tied sub-I/O arrivals, non-monotone
-    member schedules in disk order, tied flight completions.
+    :func:`_solve_two_phase`), non-monotone member schedules in disk
+    order, a calendar walk that nests too deep while ordering tied
+    flight completions.  Ties themselves are never refused: tied posts
+    and tied completions go in event-calendar order (:class:`_Calendar`).
     ``keep_record`` keeps the rows' completion records (for a capture
     or telemetry).
     """
     n_rows = submit.shape[0]
     reasons: List[Optional[str]] = [None] * n_rows
+    ties = np.zeros(n_rows, dtype=np.int64)
 
     def refuse(bad: np.ndarray, reason: str) -> bool:
         """Mark the ``bad`` rows; True once every row is refused."""
@@ -1400,14 +1690,9 @@ def _solve_plane(
     if exp is not None and exp.has_pre:
         # RAID-5 read-modify-write: post writes barrier on their pre
         # reads, so each row serves in its own converged order.
-        two = _solve_two_phase(
-            exp, [m.rows for m in plane.members],
-            [m.plan for m in plane.members], dispatch,
-        )
+        two = _rmw_calendar_solve(plane, dispatch, reasons, ties)
         rmw = (two.passes, two.windows)
         if refuse(two.costly, "rmw fixpoint costs more than an event replay"):
-            return reasons, None
-        if refuse(two.tied, "tied sub-I/O arrival times"):
             return reasons, None
         sub_fin = two.sub_fin
         for m in two.members:
@@ -1452,16 +1737,29 @@ def _solve_plane(
             fin, fin - submit, plane.nbytes, served, None,
             (submit, served[0].starts) if keep_record else None,
         )
-    # A flight completes when its last sub-I/O finishes.  Tied flight
-    # finish times would make the monitor's accumulation order depend
-    # on event sequence numbers — the closed form cannot reproduce
-    # that, so such rows are refused.
+    # A flight completes when its last sub-I/O finishes; the monitor
+    # accumulates tied completions in calendar order.
     fl_fin = np.maximum.reduceat(sub_fin, exp.flight_offsets[:-1], axis=1)
     comp_order = np.argsort(fl_fin, axis=1, kind="stable")
     fin = _take_rows(fl_fin, comp_order)
-    if refuse(
-        np.any(fin[:, 1:] == fin[:, :-1], axis=1), "tied flight completion times"
-    ):
+    tied = np.any(fin[:, 1:] == fin[:, :-1], axis=1)
+    for i in np.flatnonzero(tied).tolist():
+        if reasons[i] is not None:
+            continue
+        try:
+            cal = _Calendar(
+                exp,
+                [
+                    (member.rows, s.order, s.arrivals)
+                    for member, s in zip(plane.members, served)
+                    if s is not None
+                ],
+                dispatch, sub_fin, i,
+            )
+            ties[i] += _order_tied_completions(cal, comp_order[i], fin[i])
+        except _Fallback as exc:
+            reasons[i] = exc.reason
+    if None not in reasons:
         return reasons, None
     return reasons, _Solution(
         fin, _take_rows(fl_fin - submit, comp_order),
@@ -1470,7 +1768,7 @@ def _solve_plane(
             (_take_rows(submit, comp_order), _take_rows(dispatch, comp_order))
             if keep_record else None
         ),
-        rmw,
+        rmw, ties,
     )
 
 
@@ -1718,6 +2016,7 @@ def _assemble(
         frames=frames,
         record=sol.row_record(i),
         rmw=sol.row_rmw(i),
+        tie_groups=sol.row_ties(i),
     )
 
 

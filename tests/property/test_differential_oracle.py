@@ -24,6 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.proportional_filter import (
     bernoulli_filter_trace,
@@ -32,6 +33,7 @@ from repro.core.proportional_filter import (
 )
 from repro.core.timescale import scale_trace
 from repro.faults.schedule import FaultSchedule
+from repro.replay.capture import CaptureSink
 from repro.replay.session import replay_trace
 from repro.rng import derive_seed, make_rng
 from repro.trace.blktrace import dumps, dumps_packed, loads, loads_packed
@@ -372,6 +374,160 @@ def test_saturated_rmw_band_fuses(seed):
         assert counters["sim.kernel.rmw_windows"] > 1, (load, scale)
         assert canon_result(alone) == canon_result(event), (load, scale)
         assert canon_result(fused[load, scale]) == canon_result(event)
+
+
+# SSD service times are deterministic, so SSD RAID-5 replays meet exact
+# ties: flights completing at one instant, and two flights' post writes
+# reaching one member at one instant.  The kernel puts them in the event
+# calendar's order; each case is checked as a single replay, as a grid
+# cell on its own and as a cell inside a larger grid.
+
+
+@st.composite
+def ssd_tie_traces(draw):
+    """4 KiB bunches, half writes, on a coarse grid of instants (1/1024
+    s apart, often several per instant) over 64 chunks of a 4-SSD
+    RAID-5: about half of these replays meet exact ties."""
+    n = draw(st.integers(4, 40))
+    ticks = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    fan = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    total = sum(fan)
+    packages = np.empty(total, dtype=PACKED_PACKAGE_DTYPE)
+    packages["sector"] = np.array(draw(st.lists(
+        st.integers(0, 63), min_size=total, max_size=total
+    ))) * 8
+    packages["nbytes"] = 4096
+    packages["op"] = draw(st.lists(
+        st.sampled_from([READ, WRITE]), min_size=total, max_size=total
+    ))
+    return PackedTrace(
+        ticks / 1024, np.concatenate(([0], np.cumsum(fan))), packages,
+        label="ssd-ties",
+    )
+
+
+def _ssd_raid5():
+    from repro.storage.array import build_ssd_raid5
+
+    return build_ssd_raid5(4)
+
+
+def _record(capture):
+    """A capture's completion record, in completion order, and its
+    member power timelines."""
+    return (
+        capture.finishes.tolist(), capture.responses.tolist(),
+        [(m.name, m.starts.tolist(), m.ends.tolist()) for m in capture.members],
+    )
+
+
+#: The one refusal an SSD RAID-5 replay may still meet; a tie is never
+#: a reason to leave the kernel.
+_COST_REFUSAL = "rmw fixpoint costs more than an event replay"
+
+
+def _assert_ssd_cell_matches_event(trace, load):
+    from repro.config import ReplayConfig
+    from repro.telemetry.stream import frames_to_jsonl
+    from repro.workload.parallel import run_grid
+
+    config = ReplayConfig(sampling_cycle=0.01)
+    kwargs = dict(config=config, stream_interval=0.005)
+
+    def replay(engine):
+        sink = CaptureSink()
+        result = replay_trace(
+            trace, _ssd_raid5(), load, engine=engine, capture=sink, **kwargs
+        )
+        return result, _record(sink.capture)
+
+    event, record = replay("event")
+    alone, alone_record = replay("auto")
+    fused = alone.metadata["engine"] == "kernel"
+    if not fused:
+        assert alone.metadata["engine_fallback"] == _COST_REFUSAL
+    expect = canon_result(event)
+    frames = frames_to_jsonl(event.metadata["interval_frames"])
+    assert canon_result(alone) == expect
+    assert frames_to_jsonl(alone.metadata["interval_frames"]) == frames
+    assert alone_record == record
+    larger = sorted({load, 0.5, 0.8, 1.0})
+    for loads, scales in (((load,), (1.0,)), (larger, (0.5, 1.0))):
+        grid = run_grid(
+            {"t": trace}, {"d": _ssd_raid5}, loads=loads, time_scales=scales,
+            config=config, stream_interval=0.005, engine="auto",
+            parallel=False, capture=True,
+        )
+        cell = next(
+            c for c in grid.cells if c.load == load and c.time_scale == 1.0
+        )
+        if len(loads) == 1:
+            # Alone, a cell is the single replay's one-row solve.  In a
+            # larger grid the rows share RMW windows, so the cost bound
+            # may hand a costly cell back; it is then replayed per point.
+            assert cell.fused == fused
+        assert canon_result(cell.result) == expect
+        assert _record(cell.capture) == record
+        assert frames_to_jsonl(
+            cell.result.metadata["interval_frames"]
+        ) == frames
+    # Telemetry changes neither the engine nor the result.
+    from repro.telemetry import enabled_telemetry
+
+    with enabled_telemetry():
+        traced = replay_trace(
+            trace, _ssd_raid5(), load, engine="auto", **kwargs
+        )
+    assert traced.metadata["engine"] == alone.metadata["engine"]
+    assert canon_result(traced) == expect
+
+
+@given(ssd_tie_traces(), st.sampled_from([0.5, 0.8, 1.0]))
+@settings(max_examples=40, deadline=None)
+def test_ssd_raid5_ties_match_event(trace, load):
+    _assert_ssd_cell_matches_event(trace, load)
+
+
+@st.composite
+def collected_ssd_traces(draw):
+    """A trace the IOmeter generator collects on the SSD array: closed
+    loop, so its arrivals are sums of the same service times, and its
+    replays tie often — with a calendar order that is not flight order
+    more often than the coarse grid's."""
+    from repro.config import WorkloadMode
+    from repro.workload.matrix import collect_trace
+
+    mode = draw(st.sampled_from([(4096, 0.5, 0.5), (4096, 1.0, 1.0)]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return pack(collect_trace(_ssd_raid5, WorkloadMode(*mode), 0.05, seed=seed))
+
+
+@given(collected_ssd_traces(), st.sampled_from([0.5, 0.7, 0.9]))
+@settings(
+    max_examples=15, deadline=None,
+    # Collecting a trace runs a simulation: generation is the slow part.
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_collected_ssd_raid5_ties_match_event(trace, load):
+    _assert_ssd_cell_matches_event(trace, load)
+
+
+@pytest.mark.parametrize("load", [0.6, 0.7, 0.8, 0.9])
+def test_collected_ssd_raid5_trace_matches_event(load):
+    """One collected trace whose tied completions at each of these loads
+    are not in flight order."""
+    from repro.config import WorkloadMode
+    from repro.telemetry import enabled_telemetry
+    from repro.workload.matrix import collect_trace
+
+    trace = pack(collect_trace(
+        _ssd_raid5, WorkloadMode(4096, 0.5, 0.5), 0.1, seed=1
+    ))
+    with enabled_telemetry() as reg:
+        mark = reg.mark()
+        replay_trace(trace, _ssd_raid5(), load, engine="kernel")
+        assert reg.collect(since=mark)["counters"]["sim.kernel.tie_groups"]
+    _assert_ssd_cell_matches_event(trace, load)
 
 
 def test_engine_kernel_refuses_unqualified():

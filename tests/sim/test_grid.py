@@ -365,6 +365,35 @@ class TestFallbackParity:
         assert outcome.engines == {"kernel": 4}
         assert outcome.fallback_reasons == {}
 
+    def test_tied_ssd_raid5_cells_fuse(self):
+        """SSD RAID-5 cells meet exact ties (tied flight completions,
+        and at load 0.7 post writes tied against flight order); the
+        grid puts them in calendar order and fuses every cell, each
+        bit-identical to the event engine."""
+        from repro.config import WorkloadMode
+        from repro.storage.array import build_ssd_raid5
+        from repro.workload.matrix import collect_trace
+
+        def ssd_raid5():
+            return build_ssd_raid5(4)
+
+        # The seed the ``paper-sweep`` benchmark draws on its seed 3
+        # for its first SSD trace.
+        trace = pack(collect_trace(
+            ssd_raid5, WorkloadMode(4096, 0.5, 0.5), 0.25, seed=389477915
+        ))
+        outcome = run_grid(
+            {"t": trace}, {"d": ssd_raid5}, loads=(0.5, 0.7),
+            time_scales=(1.0,), engine="auto", parallel=False,
+        )
+        assert outcome.fused_cells == 2
+        assert outcome.fallback_reasons == {}
+        for cell in outcome.cells:
+            event = replay_trace(trace, ssd_raid5(), cell.load, engine="event")
+            assert canon(cell.result, engine_neutral=True) == canon(
+                event, engine_neutral=True
+            )
+
     def test_degraded_raid5_falls_back_with_per_point_metadata(self):
         """Degraded arrays decline fusion (reconstruction mutates
         planner state); every cell must re-run per point under the same

@@ -258,18 +258,18 @@ class TestPostMerge:
                     clean_rows += 1
         assert cross_ties and clean_rows
 
-    def test_tied_barriers_refuse(self):
+    def test_tied_barriers_fuse_in_calendar_order(self):
         """Two RMW barriers that release at one instant put two flights'
         post writes on member 0 at the same time; the event calendar
-        orders them by schedule sequence numbers, which the closed form
-        cannot reproduce, so the replay falls back.  Bunch 2's time was
-        bisected so that its barrier lands exactly on bunch 1's; one ulp
-        either way the kernel takes the replay."""
+        orders them by schedule sequence numbers, which the kernel's
+        calendar rank reproduces.  Bunch 2's time was bisected so that
+        its barrier lands exactly on bunch 1's; at it and one ulp either
+        way the kernel takes the replay and matches the event engine."""
         strip = 128 * 1024 // SECTOR_BYTES
         tied = float.fromhex("0x1.dfe8f29b10bedp-8")
 
-        def run(t2, engine):
-            trace = pack(
+        def trace(t2):
+            return pack(
                 Trace(
                     [
                         # Keeps member 3 (bunch 1's parity) busy, so
@@ -281,19 +281,136 @@ class TestPostMerge:
                     label="tied-barriers",
                 )
             )
-            result = replay_trace(trace, build_hdd_raid5(4), 1.0, engine=engine)
-            out = result.to_dict()
-            out["metadata"].pop("engine")
-            out["metadata"].pop("engine_fallback", None)
-            return result.metadata, out
 
-        meta, out = run(tied, "auto")
-        assert meta["engine"] == "event"
-        assert meta["engine_fallback"] == "tied sub-I/O arrival times"
-        for t2 in (np.nextafter(tied, 0.0), np.nextafter(tied, 1.0)):
-            meta, out = run(float(t2), "auto")
-            assert meta["engine"] == "kernel"
-            assert out == run(float(t2), "event")[1]
+        def hdd_raid5x4():
+            return build_hdd_raid5(4)
+
+        result, ties = _tie_counted(trace(tied), hdd_raid5x4, 1.0)
+        assert result.metadata["engine"] == "kernel"
+        assert ties == 1
+        for t2 in (tied, np.nextafter(tied, 0.0), np.nextafter(tied, 1.0)):
+            _assert_matches_event(trace(float(t2)), hdd_raid5x4, 1.0)
+
+
+def _tie_counted(trace, factory, load):
+    """An ``auto`` replay and the tie groups it put in calendar order."""
+    from repro.telemetry import enabled_telemetry
+
+    with enabled_telemetry() as reg:
+        mark = reg.mark()
+        result = replay_trace(trace, factory(), load, engine="auto")
+        counters = reg.collect(since=mark)["counters"]
+    return result, counters.get("sim.kernel.tie_groups", 0)
+
+
+def _assert_matches_event(trace, factory, load):
+    """The ``auto`` replay runs on the kernel and equals the event
+    engine: result, completion record order, member timelines and
+    interval frames."""
+    config = ReplayConfig()
+    fast, fast_cap = _capture_run(trace, factory, load, config, "auto", 0.01)
+    slow, slow_cap = _capture_run(trace, factory, load, config, "event", 0.01)
+    assert fast.metadata["engine"] == "kernel"
+    assert "engine_fallback" not in fast.metadata
+    assert fast.metadata["interval_frames"]
+    assert canon(fast, engine_neutral=True) == canon(slow, engine_neutral=True)
+    assert fast_cap == slow_cap
+
+
+def _paper_sweep_trace(draw, factory, mode):
+    """One ``paper-sweep`` benchmark trace: ``draw`` is the seed it drew
+    for it (seed 1 draws 2037209175 for its last, SSD random-read
+    trace; seed 3 draws 389477915 for its first SSD, mixed trace)."""
+    from repro.config import WorkloadMode
+    from repro.workload.matrix import collect_trace
+
+    return pack(collect_trace(factory, WorkloadMode(*mode), 0.25, seed=draw))
+
+
+def _ssd_raid5x4():
+    from repro.storage.array import build_ssd_raid5
+
+    return build_ssd_raid5(4)
+
+
+#: ``paper-sweep``'s SSD RAID-5 traces with exact ties: 4 KiB random
+#: reads (flight completion ties) and 4 KiB half-random half-read
+#: (completion and post write ties whose calendar order is not flight
+#: order).
+_SSD_READS = (2037209175, (4096, 1.0, 1.0))
+_SSD_MIXED = (389477915, (4096, 0.5, 0.5))
+
+
+class TestCalendarTies:
+    """SSD service times are deterministic, so an SSD RAID-5 replay
+    meets exact ties; the kernel orders them as the event calendar
+    does (``_Calendar``) instead of refusing them."""
+
+    def test_tied_flight_completions_match_event(self):
+        """The plain (read-only) path: flight completions tie."""
+        trace = _paper_sweep_trace(_SSD_READS[0], _ssd_raid5x4, _SSD_READS[1])
+        _, ties = _tie_counted(trace, _ssd_raid5x4, 0.7)
+        assert ties > 0
+        _assert_matches_event(trace, _ssd_raid5x4, 0.7)
+
+    def test_completion_order_is_the_calendars(self, monkeypatch):
+        """Here flight (stable) order is not the calendar's: without
+        the rank the monitor would sum tied responses in another order."""
+        trace = _paper_sweep_trace(_SSD_MIXED[0], _ssd_raid5x4, _SSD_MIXED[1])
+        _assert_matches_event(trace, _ssd_raid5x4, 0.5)
+        monkeypatch.setattr(
+            kernel, "_order_tied_completions", lambda *args: 0
+        )
+        stable = replay_trace(trace, _ssd_raid5x4(), 0.5, engine="kernel")
+        event = replay_trace(trace, _ssd_raid5x4(), 0.5, engine="event")
+        assert canon(stable, True) != canon(event, True)
+
+    def test_post_ties_against_flight_order_are_solved_again(
+        self, monkeypatch
+    ):
+        trace = _paper_sweep_trace(_SSD_MIXED[0], _ssd_raid5x4, _SSD_MIXED[1])
+        ranks = []
+        solve = kernel._solve_two_phase
+
+        def spy(exp, rows, plans, dispatch, rank=None):
+            ranks.append(rank)
+            return solve(exp, rows, plans, dispatch, rank)
+
+        monkeypatch.setattr(kernel, "_solve_two_phase", spy)
+        _assert_matches_event(trace, _ssd_raid5x4, 0.7)
+        assert ranks[0] is None and ranks[1] is not None
+        # Solved once, in flight order, the row would be wrong.
+        monkeypatch.setattr(
+            kernel, "_post_tie_groups", lambda *args: ([], True)
+        )
+        config = ReplayConfig()
+        once = _capture_run(trace, _ssd_raid5x4, 0.7, config, "kernel")
+        event = _capture_run(trace, _ssd_raid5x4, 0.7, config, "event")
+        assert once[1] != event[1]
+
+    def test_deep_tie_chain_is_refused(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_MAX_TIE_DEPTH", 0)
+        trace = _paper_sweep_trace(_SSD_READS[0], _ssd_raid5x4, _SSD_READS[1])
+        result = replay_trace(trace, _ssd_raid5x4(), 0.7, engine="auto")
+        assert result.metadata["engine"] == "event"
+        assert (
+            result.metadata["engine_fallback"]
+            == "calendar tie order nests too deep"
+        )
+
+    def test_telemetry_changes_neither_engine_nor_result(self):
+        from repro.telemetry import enabled_telemetry
+
+        trace = _paper_sweep_trace(_SSD_READS[0], _ssd_raid5x4, _SSD_READS[1])
+        plain = replay_trace(trace, _ssd_raid5x4(), 0.7, engine="auto")
+        with enabled_telemetry():
+            traced = replay_trace(trace, _ssd_raid5x4(), 0.7, engine="auto")
+        assert plain.metadata["engine"] == traced.metadata["engine"] == "kernel"
+        # Registry only: the result's own snapshot leaves it out.
+        assert "sim.kernel.tie_groups" not in str(traced.metadata["telemetry"])
+        for result in (plain, traced):
+            result.metadata.pop("telemetry", None)
+        assert canon(plain) == canon(traced)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +501,13 @@ def _rmw_counters(trace, factory, load, config):
     )
 
 
-def _capture_run(trace, factory, load, config, engine):
+def _capture_run(trace, factory, load, config, engine, stream_interval=0.5):
     from repro.replay.capture import CaptureSink
 
     sink = CaptureSink()
     result = replay_trace(
         trace, factory(), load, config=config, engine=engine,
-        stream_interval=0.5, capture=sink,
+        stream_interval=stream_interval, capture=sink,
     )
     cap = sink.capture
     members = [
