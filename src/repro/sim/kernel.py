@@ -88,14 +88,25 @@ _MAX_PASSES = 10
 _MAX_WINDOWS = 2_000_000
 
 #: The RMW fixpoint's work unit is one sub-I/O served in one pass.  A
-#: member's pass also costs a fixed amount of it (the NumPy calls a
-#: pass makes), and an event replay costs about this much per sub-I/O
-#: it serves — both fitted on a 2-vCPU Intel Xeon VM (kernel vs event
-#: replays of saturated, chained and sequential small-write traces),
-#: where one sub-I/O pass takes about 0.43 us, one member pass 0.6 ms
-#: and an event replay 46 us per sub-I/O.
-_MEMBER_PASS_WORK = 1400
-_EVENT_WORK_PER_SUBIO = 100
+#: pass also costs a fixed amount of it (the NumPy calls of one stacked
+#: pass over every member, and its share of the window's set-up), and
+#: an event replay costs about this much per sub-I/O it serves.  Both
+#: are medians of five least-squares fits of kernel solve time against
+#: (columns served, passes) and of event replay time per sub-I/O, on 11
+#: kernel/event replay pairs of saturated, chained and sequential
+#: small-write traces (2-vCPU Intel Xeon VM: a sub-I/O pass takes
+#: 0.24-0.42 us, a pass 0.47-0.63 ms, an event replay 25-36 us per
+#: sub-I/O).
+_PASS_WORK = 1700
+_EVENT_WORK_PER_SUBIO = 85
+
+#: A stacked RMW pass serves its rows in blocks of about this many
+#: columns, or of as many rows as the window has cells (one member's
+#: rows) if that is more.  Stacking pays while a pass's NumPy calls
+#: are short, so that their fixed cost dominates; past this size it no
+#: longer does, and bigger blocks only hold bigger temporaries (a pass
+#: keeps about twenty of a block's size alive at once).
+_PASS_BLOCK = 1 << 12
 
 _NEG_INF = float("-inf")
 _EMPTY = np.empty(0, dtype=np.float64)
@@ -116,36 +127,59 @@ class _Fallback(Exception):
 
 def _lindley_scalar(submit: np.ndarray, sv: np.ndarray, prev: float) -> np.ndarray:
     """Reference solver: the event path's arithmetic, request by request."""
-    out = np.empty(submit.size, dtype=np.float64)
+    out = []
     cur = prev
-    for i, (t, s) in enumerate(zip(submit.tolist(), sv.tolist())):
+    for t, s in zip(submit.tolist(), sv.tolist()):
         start = t if t > cur else cur
         cur = start + s
-        out[i] = cur
-    return out
+        out.append(cur)
+    return np.array(out, dtype=np.float64)
+
+
+def _head_flags(heads: np.ndarray, n: int) -> list:
+    """``heads`` as a list of ``n`` flags, for the float loops."""
+    flags = np.zeros(n, dtype=bool)
+    flags[heads] = True
+    return flags.tolist()
 
 
 def _eval_lindley_segments_loop(
     submit: np.ndarray, sv: np.ndarray, heads: np.ndarray,
-    prev: np.ndarray, width: int,
+    prev: np.ndarray, width: int, scalar: bool,
 ) -> np.ndarray:
-    """Per-segment reference evaluation (sequential over busy runs).
+    """Sequential evaluation over busy runs.
 
     ``submit``/``sv`` hold rows of ``width`` requests back to back; the
     idle-start positions ``heads`` include every row start.  Each
     segment [a, b) is a busy run: its first request starts at
     ``max(submit[a], previous finish)`` (exact selection; the row's
-    ``prev`` entry at a row start) and the rest chain by seeded
-    cumulative sum — the same left-to-right additions the scalar loop
-    performs.
+    ``prev`` entry at a row start) and the rest chain by addition —
+    ``scalar``: one plain float loop over ``.tolist()`` columns, else
+    one seeded cumulative sum per run; either way the same
+    left-to-right additions the scalar recurrence performs
+    (:func:`_busy_run_regime` picks).
     """
     n = submit.size
+    prev_l = prev.tolist()
+    if scalar:
+        sub, svl, head = submit.tolist(), sv.tolist(), _head_flags(heads, n)
+        out: List[float] = []
+        put = out.append
+        for r, a in enumerate(range(0, n, width)):
+            cur = prev_l[r]
+            b = a + width
+            for t, s, h in zip(sub[a:b], svl[a:b], head[a:b]):
+                if h and t > cur:
+                    cur = t
+                cur += s
+                put(cur)
+        return np.array(out, dtype=np.float64)
+    bounds = heads.tolist() + [n]
     f = np.empty(n, dtype=np.float64)
     cur = _NEG_INF
-    bounds = np.append(heads, n)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    for a, b in zip(bounds, bounds[1:]):
         if a % width == 0:
-            cur = float(prev[a // width])
+            cur = prev_l[a // width]
         sa = submit[a]
         seed = sa if sa > cur else cur
         f[a:b] = np.cumsum(np.concatenate(([seed], sv[a:b])))[1:]
@@ -153,8 +187,8 @@ def _eval_lindley_segments_loop(
     return f
 
 
-#: Offset-sweep eligibility: below this many segments the per-segment
-#: loop's overhead is negligible, so the sweep machinery isn't worth it.
+#: Offset-sweep eligibility: below this many segments a sequential
+#: loop beats the sweep machinery's fixed cost.
 _SWEEP_MIN_SEGMENTS = 256
 
 #: Segments longer than this are evaluated with one seeded cumsum each
@@ -162,11 +196,37 @@ _SWEEP_MIN_SEGMENTS = 256
 #: would otherwise pay one sweep step per element of the longest run.
 _SWEEP_MAX_LEN = 64
 
+#: The sequential loop's crossover.  The float loop costs about 0.1 us
+#: a request, a seeded cumsum about 4 us of NumPy calls a run whatever
+#: its length (2-vCPU Intel Xeon VM), so the float loop is cheaper
+#: until runs average about 40 requests.
+_SCALAR_MAX_RUN = 32
+
 #: Seed-repair waves before falling back to the sequential loop.  Each
 #: wave finalises at least one more segment of every chain of busy runs
 #: that merge (a head whose submit lands inside the previous run), so
 #: only adversarially long merge chains hit the cap.
 _MAX_SWEEP_WAVES = 40
+
+
+def _busy_run_regime(n: int, heads: np.ndarray, sweep: bool = True) -> str:
+    """How to evaluate ``n`` requests split into busy runs at ``heads``:
+    ``"sweep"`` (the offset sweep), ``"scalar"`` (one float loop) or
+    ``"cumsum"`` (one seeded cumsum per run).
+
+    The one cost rule of the Lindley and link-chain evaluators.  A
+    sweep costs a few NumPy calls per offset, whatever the run count,
+    so it pays once there are ``_SWEEP_MIN_SEGMENTS`` runs, most of
+    them at most ``_SWEEP_MAX_LEN`` long (``sweep=False`` rules it
+    out).  Otherwise the runs go one by one: in a float loop while
+    they average under ``_SCALAR_MAX_RUN`` requests, else by cumsum.
+    """
+    n_seg = heads.size
+    if sweep and n_seg >= _SWEEP_MIN_SEGMENTS:
+        lens = np.diff(heads, append=n)
+        if np.count_nonzero(lens > _SWEEP_MAX_LEN) * 8 <= n_seg:
+            return "sweep"
+    return "scalar" if n < _SCALAR_MAX_RUN * n_seg else "cumsum"
 
 
 def _eval_lindley_segments(
@@ -197,13 +257,14 @@ def _eval_lindley_segments(
     """
     n = submit.size
     n_seg = heads.size
-    if n_seg < _SWEEP_MIN_SEGMENTS:
-        return _eval_lindley_segments_loop(submit, sv, heads, prev, width)
+    regime = _busy_run_regime(n, heads)
+    if regime != "sweep":
+        return _eval_lindley_segments_loop(
+            submit, sv, heads, prev, width, regime == "scalar"
+        )
     bounds = np.append(heads, n)
     lens = np.diff(bounds)
     long_seg = np.flatnonzero(lens > _SWEEP_MAX_LEN)
-    if long_seg.size * 8 > n_seg:
-        return _eval_lindley_segments_loop(submit, sv, heads, prev, width)
 
     f = np.empty(n, dtype=np.float64)
     first = np.flatnonzero(heads % width == 0)
@@ -242,7 +303,10 @@ def _eval_lindley_segments(
             return f
         seed[stale] = want[stale]
         _sweep(stale)
-    return _eval_lindley_segments_loop(submit, sv, heads, prev, width)
+    return _eval_lindley_segments_loop(
+        submit, sv, heads, prev, width,
+        _busy_run_regime(n, heads, sweep=False) == "scalar",
+    )
 
 
 def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -342,16 +406,15 @@ def _solve_lindley(
 def _chain_scalar(
     t: np.ndarray, c: float, p: np.ndarray, prev: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    d = np.empty(t.size, dtype=np.float64)
-    link = np.empty(t.size, dtype=np.float64)
+    d, link = [], []
     cur = prev
-    for i, (ti, pi) in enumerate(zip(t.tolist(), p.tolist())):
+    for ti, pi in zip(t.tolist(), p.tolist()):
         disp = ti if ti > cur else cur
         disp = disp + c
-        d[i] = disp
+        d.append(disp)
         cur = disp + pi
-        link[i] = cur
-    return d, link
+        link.append(cur)
+    return np.array(d, dtype=np.float64), np.array(link, dtype=np.float64)
 
 
 def _chain_run(
@@ -374,16 +437,33 @@ def _chain_run(
 
 def _eval_chain_segments_loop(
     t: np.ndarray, c: float, p: np.ndarray, heads: np.ndarray,
-    prev: float, width: int,
+    prev: float, width: int, scalar: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-segment reference evaluation of the dispatch chain, over rows
-    laid out as in :func:`_eval_lindley_segments_loop`."""
+    """Sequential evaluation of the dispatch chain, over rows laid out
+    as in :func:`_eval_lindley_segments_loop` (``scalar`` likewise)."""
     n = t.size
+    if scalar:
+        tl, pl, head = t.tolist(), p.tolist(), _head_flags(heads, n)
+        d_out: List[float] = []
+        l_out: List[float] = []
+        put_d, put_l = d_out.append, l_out.append
+        for a in range(0, n, width):
+            cur = prev
+            b = a + width
+            for ta, pi, h in zip(tl[a:b], pl[a:b], head[a:b]):
+                if h and ta > cur:
+                    cur = ta
+                cur += c
+                put_d(cur)
+                cur += pi
+                put_l(cur)
+        return (np.array(d_out, dtype=np.float64),
+                np.array(l_out, dtype=np.float64))
+    bounds = heads.tolist() + [n]
     d = np.empty(n, dtype=np.float64)
     link = np.empty(n, dtype=np.float64)
-    cur = prev
-    bounds = np.append(heads, n)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    cur = _NEG_INF
+    for a, b in zip(bounds, bounds[1:]):
         if a % width == 0:
             cur = prev
         ta = t[a]
@@ -409,13 +489,14 @@ def _eval_chain_segments(
     """
     n = t.size
     n_seg = heads.size
-    if n_seg < _SWEEP_MIN_SEGMENTS:
-        return _eval_chain_segments_loop(t, c, p, heads, prev, width)
+    regime = _busy_run_regime(n, heads)
+    if regime != "sweep":
+        return _eval_chain_segments_loop(
+            t, c, p, heads, prev, width, regime == "scalar"
+        )
     bounds = np.append(heads, n)
     lens = np.diff(bounds)
     long_seg = np.flatnonzero(lens > _SWEEP_MAX_LEN)
-    if long_seg.size * 8 > n_seg:
-        return _eval_chain_segments_loop(t, c, p, heads, prev, width)
 
     d = np.empty(n, dtype=np.float64)
     link = np.empty(n, dtype=np.float64)
@@ -454,7 +535,10 @@ def _eval_chain_segments(
             return d, link
         seed[stale] = want[stale]
         _sweep(stale)
-    return _eval_chain_segments_loop(t, c, p, heads, prev, width)
+    return _eval_chain_segments_loop(
+        t, c, p, heads, prev, width,
+        _busy_run_regime(n, heads, sweep=False) == "scalar",
+    )
 
 
 def _solve_link_chain(
@@ -681,6 +765,89 @@ class _RmwMember:
         """The first local row of flight ``f`` or a later one."""
         return int(np.searchsorted(self.flight, f))
 
+    def mark(self) -> tuple:
+        """The solve state at a cut, for :meth:`restore`.  Freezing
+        only writes the schedule past ``filled``, so the schedule up to
+        the cut needs no copy."""
+        return (
+            self.filled.copy(), self.prev.copy(), self.cursor.copy(),
+            self.carry_loc.copy(), self.carry_arr.copy(),
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Go back to the cut :meth:`mark` saw."""
+        (
+            self.filled, self.prev, self.cursor, self.carry_loc,
+            self.carry_arr,
+        ) = state
+
+    def freeze(
+        self, rows: np.ndarray, loc: np.ndarray, a: np.ndarray,
+        f: np.ndarray, cut: int, dispatch: np.ndarray, whole: bool,
+    ) -> None:
+        """Freeze a window's schedule of cells ``rows`` below flight
+        ``cut``: ``loc`` / ``a`` / ``f`` are each row's serving order
+        (local indices, ``k`` for padding), arrivals and finishes.
+        Append every request that sorts before the flight's first
+        sub-I/O here (key ``(arrival, local)``; all of them when ``cut``
+        is the trace end) to the schedule, move ``prev`` and ``cursor``
+        to the cut, and carry the posts of earlier flights still
+        unserved.  ``whole``: the window served every one of its rows."""
+        k = self.rows.size
+        n = dispatch.shape[1]
+        edge = self.start(cut)
+        if cut == n:
+            keep = loc < k
+        else:
+            at_cut = dispatch[rows, cut][:, None]
+            keep = (a < at_cut) | ((a == at_cut) & (loc < edge))
+        count = keep.sum(axis=1)
+        if (
+            self.order is None and whole and rows.size == self.filled.size
+            and bool(np.all(count == k))
+        ):
+            # The window served every row whole (padding sorts last):
+            # its schedule is the member's.
+            self.order, self.arrivals, self.fin = (
+                loc[:, :k], a[:, :k], f[:, :k]
+            )
+        else:
+            if self.order is None:
+                shape = (self.filled.size, k)
+                self.order = np.empty(shape, dtype=np.int64)
+                self.arrivals = np.empty(shape)
+                self.fin = np.empty(shape)
+            r, col = np.nonzero(keep)
+            dest = self.filled[rows][r] + col
+            self.order[rows[r], dest] = loc[r, col]
+            self.arrivals[rows[r], dest] = a[r, col]
+            self.fin[rows[r], dest] = f[r, col]
+        if cut == n:
+            return
+        self.filled[rows] += count
+        some = count > 0
+        self.prev[rows[some]] = f[some, count[some] - 1]
+        moves = keep & self.plan.cursor_rows[np.minimum(loc, k - 1)]
+        some = moves.any(axis=1)
+        last = moves.shape[1] - 1 - np.argmax(moves[:, ::-1], axis=1)
+        self.cursor[rows[some]] = loc[some, last[some]]
+        left = np.where(~keep & (loc < edge), loc, k)
+        c = int(np.max(np.sum(left < k, axis=1), initial=0))
+        grow = c - self.carry_loc.shape[1]
+        if grow > 0:
+            self.carry_loc = np.pad(self.carry_loc, ((0, 0), (0, grow)),
+                                    constant_values=k)
+            self.carry_arr = np.pad(self.carry_arr, ((0, 0), (0, grow)),
+                                    constant_values=np.inf)
+        take = np.argsort(left, axis=1, kind="stable")[:, :c]
+        carried = _take_rows(left, take)
+        self.carry_loc[rows] = k
+        self.carry_arr[rows] = np.inf
+        self.carry_loc[rows, :c] = carried
+        self.carry_arr[rows, :c] = np.where(
+            carried < k, _take_rows(a, take), np.inf
+        )
+
 
 def _merge_posts(
     fixed_arr: np.ndarray,
@@ -692,10 +859,13 @@ def _merge_posts(
     """Per-row serving order and sorted arrivals of one member.
 
     ``fixed_arr`` ``(R, f)`` and ``post_arr`` ``(R, q)`` are the
-    arrivals of the local rows ``fixed`` and ``posts``.  Returns
+    arrivals of the local rows ``fixed`` and ``posts`` — ``(f,)`` /
+    ``(q,)`` shared by every row, or ``(R, f)`` / ``(R, q)`` per row
+    (each row a permutation of ``f + q`` local rows).  Returns
     ``(order, arrivals)``, both ``(R, f + q)``: ``order`` is exactly
     ``np.argsort(a, kind="stable")`` of each row's local arrival vector
-    ``a``, and ``arrivals`` is ``a`` in that order.
+    ``a``, and ``arrivals`` is ``a`` in that order — except among
+    ``+inf`` arrivals (padding), whose order is unspecified.
 
     Fixed arrivals are dispatch instants, nondecreasing in plan order,
     so only the posts need a real sort; the stable sort of
@@ -713,6 +883,10 @@ def _merge_posts(
     as local order puts it (its flight dispatched first).
     """
     n_rows, f = fixed_arr.shape
+    q = post_arr.shape[1]
+    if fixed.ndim == 1:
+        fixed = np.broadcast_to(fixed, (n_rows, f))
+        posts = np.broadcast_to(posts, (n_rows, q))
     if post_rank is None:
         po = np.argsort(post_arr, axis=1, kind="stable")
     else:
@@ -720,24 +894,22 @@ def _merge_posts(
     both = np.concatenate((fixed_arr, _take_rows(post_arr, po)), axis=1)
     mo = np.argsort(both, axis=1, kind="stable")
     arrivals = _take_rows(both, mo)
-    local = np.concatenate(
-        (np.broadcast_to(fixed, (n_rows, f)), posts[po]), axis=1
-    )
+    local = np.concatenate((fixed, _take_rows(posts, po)), axis=1)
     order = _take_rows(local, mo)
-    equal = arrivals[:, 1:] == arrivals[:, :-1]
+    equal = (arrivals[:, 1:] == arrivals[:, :-1]) & (arrivals[:, 1:] < np.inf)
     if not equal.any():
         return order, arrivals
     row, col = np.nonzero(equal)
     cross = (mo[row, col] >= f) != (mo[row, col + 1] >= f)
     for i in np.unique(row[cross]).tolist():
-        a = np.empty(order.shape[1], dtype=np.float64)
-        a[fixed] = fixed_arr[i]
-        a[posts] = post_arr[i]
+        a = np.empty(f + q, dtype=np.float64)
+        a[fixed[i]] = fixed_arr[i]
+        a[posts[i]] = post_arr[i]
         if post_rank is None:
             order[i] = np.argsort(a, kind="stable")
         else:
             sec = np.full(a.size, np.iinfo(np.int64).max)
-            sec[posts] = post_rank[i]
+            sec[posts[i]] = post_rank[i]
             order[i] = np.lexsort((sec, a))
         arrivals[i] = a[order[i]]
     return order, arrivals
@@ -768,7 +940,8 @@ class _TwoPhase:
     its solved schedule, ready to commit (a placeholder on ``costly``
     rows).  ``sub_fin`` is ``(P, total)`` finishes by global sub-I/O.
     ``passes`` and ``windows`` count each row's fixpoint passes and the
-    windows they ran in.
+    windows they ran in.  ``rank`` is the post tie order the solve
+    ended with (None: flight order throughout).
     """
 
     members: List[Optional[_RmwMember]]
@@ -777,78 +950,159 @@ class _TwoPhase:
     sub_fin: np.ndarray
     passes: np.ndarray  # (P,)
     windows: np.ndarray  # (P,)
+    rank: Optional[np.ndarray] = None  # (P, barriers)
 
 
-class _MemberWindow:
-    """One member's share of one window: the columns a window pass
-    serves and the schedule it last computed for each of its rows.
+class _Window:
+    """Every serving member's share of one window, stacked into one
+    ``(R * M, K)`` problem: stacked row ``r * M + j`` is window row
+    ``r`` (cell ``rows[r]``) on member ``j``, so a pass is one merge,
+    one pricing of the stacked service plan and one Lindley solve per
+    block of ``_PASS_BLOCK`` columns.
 
-    Columns are the carried posts (``c`` per row, padded), then every
-    local row of the window's flights, local rows ``a`` onwards, in
-    local order; ``fixed_cols`` / ``post_cols`` split them by arrival
-    kind.  Among equal arrivals serving order is column order, which is
-    local order, so a window sorts exactly as the whole member would.
+    Member ``j``'s columns are its carried posts (``c`` per row,
+    padded), then every local row of the window's flights, local rows
+    ``a`` onwards, in local order, then padding up to ``K`` columns.
+    Among equal arrivals serving order is column order, which is local
+    order, so a window sorts exactly as the whole member would.
+    Padding arrives at ``+inf``, so it sorts last: it is priced as the
+    member's last row and frozen as local index ``k`` (none).  Each
+    stacked row starts from its member's server and plan state at the
+    cut: ``prev`` and ``after`` (the stacked plan's row, -1: the
+    member's prepared cursors).  ``stack()`` returns every member's
+    plan concatenated (``ServicePlan.stack``).
     """
 
     def __init__(
-        self, m: _RmwMember, rows: np.ndarray, lo: int, hi: int,
-        dispatch: np.ndarray, slot0: int, rank: Optional[np.ndarray] = None,
+        self, members: List[_RmwMember], stack: Callable[[], object],
+        rows: np.ndarray,
+        lo: int, hi: int, dispatch: np.ndarray, bars: Tuple[int, int],
+        slot0: int, rank: Optional[np.ndarray] = None,
     ) -> None:
-        self.m = m
+        self.members = members
         self.rows = rows
         # Past the first cut each row resumes its server and plan.
         self.resumed = lo > 0
-        a, b = m.start(lo), m.start(hi)
-        self.a = a
-        k = m.rows.size
-        c = (
-            int(np.max(np.sum(m.carry_loc[rows] < k, axis=1)))
-            if m.carry_loc.shape[1] else 0
-        )
-        self.c = c
-        own_post = m.is_post[a:b]
-        self.fixed_cols = c + np.flatnonzero(~own_post)
-        posts = np.flatnonzero(own_post)
-        self.post_cols = np.concatenate((np.arange(c), c + posts))
-        self.post_barrier = m.post_barrier[a + posts]
-        # Each post column's rank among equal arrivals (carried posts
-        # by their own barrier; padding takes any).
-        self.post_rank = None if rank is None else np.concatenate(
-            (
-                _take_rows(rank[rows], m.post_barrier[
-                    np.minimum(m.carry_loc[rows, :c], k - 1)
-                ]),
-                rank[np.ix_(rows, self.post_barrier)],
-            ),
-            axis=1,
-        )
-        self.fixed_arr = _rows(dispatch, rows)[:, m.flight[a:b][~own_post]]
-        self.carry_arr = m.carry_arr[rows, :c]
-        self.col_loc = (
-            np.concatenate(
+        self.bars = bars
+        n_mem, n_rows, n = len(members), rows.size, dispatch.shape[1]
+        spans = []
+        for m in members:
+            a, b = m.start(lo), m.start(hi)
+            k = m.rows.size
+            c = (
+                int(np.max(np.sum(m.carry_loc[rows] < k, axis=1)))
+                if m.carry_loc.shape[1] else 0
+            )
+            own_post = m.is_post[a:b]
+            spans.append((a, b, c, np.flatnonzero(~own_post),
+                          np.flatnonzero(own_post)))
+        n_fix = max(s[3].size for s in spans)
+        n_post = max(s[2] + s[4].size for s in spans)
+        width = n_fix + n_post
+        self.n_mem, self.width = n_mem, width
+        # Rows are served in blocks of ``step`` (see ``_PASS_BLOCK``).  A
+        # block of one row is one member's, priced by its own plan; only
+        # a window whose blocks mix members needs the concatenated plan.
+        self.step = max(n_rows, _PASS_BLOCK // max(width, 1))
+        self.plan = stack() if self.step > 1 else None
+        # Post arrivals come from one source matrix per pass: the
+        # window's barrier columns, one ``+inf`` column (padding), then
+        # every member's carried arrivals.
+        n_bar = bars[1] - bars[0]
+        carried = [np.full((n_rows, 1), np.inf)]
+        fixed_cols, post_cols, fixed_src, post_src = [], [], [], []
+        col_loc, post_rank, pre_src, pre_slot = [], [], [], []
+        # Window columns map to member-local rows through ``col_loc``;
+        # with no carried posts that is arithmetic (:meth:`_local`).
+        carries = any(s[2] for s in spans)
+        span = []
+        last = []
+        at = n_bar + 1
+        ranks = None if rank is None else rank[rows]
+        for j, (m, (a, b, c, fix, own)) in enumerate(zip(members, spans)):
+            k = m.rows.size
+            w = c + b - a
+            pad = np.arange(w, width)
+            fixed_cols.append(
+                np.concatenate((c + fix, pad[:n_fix - fix.size]))
+            )
+            post_cols.append(np.concatenate(
+                (np.arange(c), c + own, pad[n_fix - fix.size:])
+            ))
+            fixed_src.append(np.concatenate(
+                (m.flight[a + fix], np.full(n_fix - fix.size, n))
+            ))
+            own_bar = m.post_barrier[a + own]
+            post_src.append(np.concatenate((
+                at + np.arange(c), own_bar - bars[0],
+                np.full(n_post - c - own.size, n_bar),
+            )))
+            carried.append(m.carry_arr[rows, :c])
+            at += c
+            col_loc.append(np.concatenate(
                 (
                     m.carry_loc[rows, :c],
-                    np.broadcast_to(np.arange(a, b), (rows.size, b - a)),
+                    np.broadcast_to(np.arange(a, b), (n_rows, b - a)),
+                    np.full((n_rows, width - w), k),
                 ),
                 axis=1,
-            )
-            if c else None
+            ) if carries else None)
+            span.append((a, w, k))
+            if ranks is not None:
+                # Each post column's rank among equal arrivals (carried
+                # posts by their own barrier; padding takes any).
+                post_rank.append(np.concatenate(
+                    (
+                        _take_rows(ranks, m.post_barrier[
+                            np.minimum(m.carry_loc[rows, :c], k - 1)
+                        ]),
+                        ranks[:, own_bar],
+                        np.zeros((n_rows, n_post - c - own.size), np.int64),
+                    ),
+                    axis=1,
+                ))
+            p0, p1 = np.searchsorted(m.pre, (a, b))
+            pre_src.append(j * width + c + m.pre[p0:p1] - a)
+            pre_slot.append(m.pre_slot[p0:p1] - slot0)
+            last.append(k - 1)
+        stack = n_rows * n_mem
+        self.fixed_cols = np.array(fixed_cols, np.int64).reshape(n_mem, n_fix)
+        self.post_cols = np.array(post_cols, np.int64).reshape(n_mem, n_post)
+        self.post_src = np.concatenate(post_src)
+        self.carried = np.concatenate(carried, axis=1)
+        dsp = np.concatenate(
+            (_rows(dispatch, rows), np.full((n_rows, 1), np.inf)), axis=1
         )
-        p0, p1 = np.searchsorted(m.pre, (a, b))
-        self.pre_cols = c + m.pre[p0:p1] - a
-        self.pre_slot = m.pre_slot[p0:p1] - slot0
-        shape = (rows.size, c + b - a)
-        self.post_seen = np.empty((rows.size, posts.size))
+        self.fixed_arr = dsp[:, np.concatenate(fixed_src)].reshape(
+            stack, n_fix
+        )
+        self.col_loc = (
+            np.stack(col_loc, axis=1).reshape(stack, width) if carries
+            else None
+        )
+        self.span = np.array(span, dtype=np.int64)  # (a, w, k) per member
+        self.post_rank = (
+            None if rank is None
+            else np.stack(post_rank, axis=1).reshape(stack, n_post)
+        )
+        self.pre_src = np.concatenate(pre_src)
+        self.pre_slot = np.concatenate(pre_slot)
+        self.last = np.array(last, dtype=np.int64)
+        # Member ``j``'s rows start at stacked plan row ``base[j]``.
+        self.base = np.cumsum([0] + [m.rows.size for m in members[:-1]])
+        if self.resumed:
+            self.prev = np.stack(
+                [m.prev[rows] for m in members], axis=1
+            ).ravel()
+            self.after = np.stack(
+                [m.cursor[rows] for m in members], axis=1
+            ).ravel()
+        shape = (stack, width)
+        self.post_seen = np.empty((stack, n_post))
         self.order = np.full(shape, -1, dtype=np.int64)
         self.arrivals = np.empty(shape)
         self.seconds = np.empty(shape)
-        self.fin = np.empty(shape)
-
-    def local(self, order: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """Local indices of window-column ``order`` rows ``at``."""
-        if self.col_loc is None:
-            return order + self.a if self.a else order
-        return _take_rows(self.col_loc[at], order)
+        self.col_fin = np.empty(shape)  # finishes by window column
 
     def serve(
         self, act: np.ndarray, barrier: np.ndarray, pre_fin: np.ndarray,
@@ -856,118 +1110,106 @@ class _MemberWindow:
     ) -> None:
         """One pass over window rows ``act``: serve the current post
         arrivals and scatter the pre-read finishes into ``pre_fin``.
-        Rows whose posts did not move keep their schedule; rows whose
-        serving order did not change keep their service seconds."""
-        m = self.m
-        post_arr = barrier[np.ix_(self.rows[act], self.post_barrier)]
-        sel = act
-        if not first:
-            moved = np.any(post_arr != self.post_seen[act], axis=1)
-            sel = act[moved]
-            if not sel.size:
-                return
-            post_arr = post_arr[moved]
-        self.post_seen[sel] = post_arr
-        if self.c:
-            post_arr = np.concatenate((self.carry_arr[sel], post_arr), axis=1)
+        Stacked rows whose posts did not move keep their schedule;
+        rows whose serving order did not change keep their seconds."""
+        n_mem, width = self.n_mem, self.width
+        b0, b1 = self.bars
+        src = np.concatenate(
+            (barrier[self.rows[act], b0:b1], self.carried[act]), axis=1
+        )
+        st = (act[:, None] * n_mem + np.arange(n_mem)).ravel()
+        cell = np.arange(act.size).repeat(n_mem)[:, None]  # src row
+        post_src = self.post_src.reshape(n_mem, -1)
+        served = False
+        for i in range(0, st.size, self.step):
+            sel = st[i:i + self.step]
+            post_arr = src[cell[i:i + self.step], post_src[sel % n_mem]]
+            if not first:
+                moved = np.any(post_arr != self.post_seen[sel], axis=1)
+                sel, post_arr = sel[moved], post_arr[moved]
+                if not sel.size:
+                    continue
+            self.post_seen[sel] = post_arr
+            self._serve_rows(sel, post_arr)
+            served = True
+        if served and self.pre_src.size:
+            cells = self.col_fin.reshape(self.rows.size, n_mem * width)
+            cell = act[:, None]
+            pre_fin[cell, self.pre_slot] = cells[cell, self.pre_src]
+
+    def _serve_rows(self, sel: np.ndarray, post_arr: np.ndarray) -> None:
+        """Serve stacked rows ``sel`` at post arrivals ``post_arr``."""
+        mem = sel % self.n_mem
         o, a = _merge_posts(
-            self.fixed_arr[sel], post_arr, self.fixed_cols, self.post_cols,
+            self.fixed_arr[sel], post_arr, self.fixed_cols[mem],
+            self.post_cols[mem],
             None if self.post_rank is None else self.post_rank[sel],
         )
         sec = self.seconds[sel]
         redo = ~np.all(o == self.order[sel], axis=1)
         if redo.any():
-            # Carry padding sorts last (``+inf``) and is never frozen;
-            # any prepared row stands in for its service.
-            loc = np.minimum(self.local(o[redo], sel[redo]), m.rows.size - 1)
-            sec[redo] = m.plan.seconds(
-                loc, m.cursor[self.rows[sel[redo]]] if self.resumed else None
+            again, mem = sel[redo], mem[redo]
+            sec[redo] = self._price(
+                np.minimum(self._local(o[redo], again), self.last[mem, None]),
+                mem, self.after[again] if self.resumed else None,
             )
-        served = a
-        if self.c:
-            # Padding (``+inf``) trails every row: chained onto the last
-            # busy run instead of each opening a run of its own, it
-            # cannot delay a real request either way.
-            served = np.where(a == np.inf, _NEG_INF, a)
+        # Padding (``+inf``) trails every row: chained onto the last busy
+        # run instead of each opening a run of its own, it cannot delay
+        # a real request either way.
         f = _solve_lindley(
-            served, sec, m.prev[self.rows[sel]] if self.resumed else _NEG_INF
+            np.where(a == np.inf, _NEG_INF, a), sec,
+            self.prev[sel] if self.resumed else _NEG_INF,
         )
         self.order[sel] = o
         self.arrivals[sel] = a
         self.seconds[sel] = sec
-        self.fin[sel] = f
-        if self.pre_cols.size:
-            by_col = np.empty_like(f)
-            _put_rows(by_col, o, f)
-            pre_fin[np.ix_(sel, self.pre_slot)] = by_col[:, self.pre_cols]
+        by_col = np.empty_like(f)
+        _put_rows(by_col, o, f)
+        self.col_fin[sel] = by_col
+
+    def _price(
+        self, loc: np.ndarray, mem: np.ndarray, after: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Service seconds of member-local orders ``loc`` on members
+        ``mem``, resumed ``after`` member-local rows (-1: none)."""
+        if self.plan is None:
+            return self.members[int(mem[0])].plan.seconds(loc, after)
+        base = self.base[mem]
+        if after is not None:
+            after = np.where(after >= 0, after + base, -1)
+        return self.plan.seconds(loc + base[:, None], after)
+
+    def _local(self, o: np.ndarray, st: np.ndarray) -> np.ndarray:
+        """Member-local rows of window columns ``o`` of stacked rows
+        ``st`` (``k``: padding)."""
+        if self.col_loc is not None:
+            return _take_rows(self.col_loc[st], o)
+        a, w, k = self.span[st % self.n_mem].T[..., None]
+        return np.where(o < w, o + a, k)
 
     def freeze(self, at: np.ndarray, cut: int, dispatch: np.ndarray) -> None:
-        """Freeze window rows ``at`` below flight ``cut``: append every
-        request that sorts before the flight's first sub-I/O here (key
-        ``(arrival, local)``; all of them when ``cut`` is the trace end)
-        to the member's schedule, move ``prev`` and ``cursor`` to the
-        cut, and carry the posts of earlier flights still unserved."""
-        m = self.m
-        k = m.rows.size
-        if not self.order.shape[1]:
-            return
+        """Freeze window rows ``at`` below flight ``cut`` on every
+        member (:meth:`_RmwMember.freeze`)."""
         rows = self.rows[at]
         whole = at.size == self.rows.size
-        o = self.order if whole else self.order[at]
-        a = self.arrivals if whole else self.arrivals[at]
-        f = self.fin if whole else self.fin[at]
-        loc = self.local(o, at)
-        n = dispatch.shape[1]
-        edge = m.start(cut)
-        if cut == n:
-            keep = loc < k
-        else:
-            at_cut = dispatch[rows, cut][:, None]
-            keep = (a < at_cut) | ((a == at_cut) & (loc < edge))
-        count = keep.sum(axis=1)
-        if (
-            m.order is None and whole and rows.size == m.filled.size
-            and bool(np.all(count == k))
-        ):
-            # The window served every row whole: its schedule is the
-            # member's (the single-window solve keeps no second copy).
-            m.order, m.arrivals, m.fin = loc, a, f
-        else:
-            if m.order is None:
-                shape = (m.filled.size, k)
-                m.order = np.empty(shape, dtype=np.int64)
-                m.arrivals = np.empty(shape)
-                m.fin = np.empty(shape)
-            r, col = np.nonzero(keep)
-            dest = m.filled[rows][r] + col
-            m.order[rows[r], dest] = loc[r, col]
-            m.arrivals[rows[r], dest] = a[r, col]
-            m.fin[rows[r], dest] = f[r, col]
-        if cut == n:
-            return
-        m.filled[rows] += count
-        some = count > 0
-        m.prev[rows[some]] = f[some, count[some] - 1]
-        moves = keep & m.plan.cursor_rows[np.minimum(loc, k - 1)]
-        some = moves.any(axis=1)
-        last = moves.shape[1] - 1 - np.argmax(moves[:, ::-1], axis=1)
-        m.cursor[rows[some]] = loc[some, last[some]]
-        left = np.where(~keep & (loc < edge), loc, k)
-        c = int(np.max(np.sum(left < k, axis=1), initial=0))
-        grow = c - m.carry_loc.shape[1]
-        if grow > 0:
-            m.carry_loc = np.pad(m.carry_loc, ((0, 0), (0, grow)),
-                                 constant_values=k)
-            m.carry_arr = np.pad(m.carry_arr, ((0, 0), (0, grow)),
-                                 constant_values=np.inf)
-        take = np.argsort(left, axis=1, kind="stable")[:, :c]
-        carried = _take_rows(left, take)
-        m.carry_loc[rows] = k
-        m.carry_arr[rows] = np.inf
-        m.carry_loc[rows, :c] = carried
-        m.carry_arr[rows, :c] = np.where(
-            carried < k, _take_rows(a, take), np.inf
-        )
+        shape = (self.rows.size, self.n_mem, self.width)
+        for j, m in enumerate(self.members):
+            st = at * self.n_mem + j
+            if whole:
+                # The window is done: member ``j``'s rows become its
+                # schedule in place (local order, finishes in serving
+                # order), so the member can share them.
+                o, a, f = (
+                    x.reshape(shape)[:, j]
+                    for x in (self.order, self.arrivals, self.col_fin)
+                )
+                f[...] = _take_rows(f, o)
+                o[...] = self._local(o, st)
+            else:
+                o = self.order[st]
+                a, f = self.arrivals[st], _take_rows(self.col_fin[st], o)
+                o = self._local(o, st)
+            m.freeze(rows, o, a, f, cut, dispatch, whole)
 
 
 def _next_window(lo: int, hi: int, cut: int, peak: int, n: int) -> int:
@@ -981,6 +1223,55 @@ def _next_window(lo: int, hi: int, cut: int, peak: int, n: int) -> int:
     if cut == hi:
         return min(n, hi + 2 * (hi - lo))
     return min(n, cut + max(4 * peak, 1))
+
+
+def _rmw_members(
+    exp: FlightExpansion,
+    rows: List[np.ndarray],
+    plans: List[Optional[ServicePlan]],
+    n_rows: int,
+) -> Tuple[List[Optional[_RmwMember]], np.ndarray, int]:
+    """Each member's RMW rows, fresh for ``n_rows`` cells (None where a
+    member serves nothing), the barrier-column prefix ``bar_at`` and
+    the pre-read slot ``width`` (see :func:`_solve_two_phase`)."""
+    n = exp.pre_counts.size
+    has_pre = exp.pre_counts > 0
+    post_mask = ~exp.is_pre & has_pre[exp.sub_flight]
+    # ``bar_at[f]`` counts the barrier flights before flight ``f``: the
+    # barrier column of a barrier flight, and a window's column range.
+    bar_at = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(has_pre, out=bar_at[1:])
+    # Each barrier flight's pre-read finishes fill a row of ``width``
+    # slots (a flight's pre block leads its plan), padded with -inf, so
+    # the barrier is a few elementwise maxima over the slot columns.
+    width = int(exp.pre_counts.max())
+    members: List[Optional[_RmwMember]] = []
+    for r, plan in zip(rows, plans):
+        if plan is None:
+            members.append(None)
+            continue
+        flight = exp.sub_flight[r]
+        is_post = post_mask[r]
+        pre = np.flatnonzero(exp.is_pre[r])
+        pre_flight = flight[pre]
+        members.append(
+            _RmwMember(
+                rows=r,
+                plan=plan,
+                flight=flight,
+                is_post=is_post,
+                post_barrier=np.where(is_post, bar_at[flight], -1),
+                pre=pre,
+                pre_slot=bar_at[pre_flight] * width
+                + (r[pre] - exp.flight_offsets[pre_flight]),
+                filled=np.zeros(n_rows, dtype=np.int64),
+                prev=np.full(n_rows, _NEG_INF),
+                cursor=np.full(n_rows, -1, dtype=np.int64),
+                carry_loc=np.empty((n_rows, 0), dtype=np.int64),
+                carry_arr=np.empty((n_rows, 0)),
+            )
+        )
+    return members, bar_at, width
 
 
 def _solve_two_phase(
@@ -1036,7 +1327,11 @@ def _solve_two_phase(
     ``hi`` and the next window is twice as long — or it is cut at the
     frontier the previous pass proved, and the next window starts
     there.  Posts of frozen flights that land past the cut are carried
-    into the next window as fixed arrivals.
+    into the next window as fixed arrivals.  A pass serves every member
+    at once (:class:`_Window`): the members' rows are stacked into one
+    problem, priced by one stacked service plan (``ServicePlan.stack``)
+    and solved by one Lindley call (per block of ``_PASS_BLOCK``
+    columns).
 
     **Sizing.**  The first window is the whole trace: fixpoints whose
     errors settle in parallel see the frontier at least double every
@@ -1052,14 +1347,14 @@ def _solve_two_phase(
 
     **Cost bound.**  A frontier that crawls a few flights per pass
     (same-stripe or sequential small writes at saturation) makes many
-    small windows, each pass paying a fixed NumPy overhead per member,
-    and such a solve can cost several event replays.  So work is
-    counted per row, in sub-I/Os served per pass plus
-    ``_MEMBER_PASS_WORK`` per member pass (shared by the rows of a
-    pass).  Past its first window — at most the bit length of the
-    trace's flight count in whole-trace passes — a row may spend as
-    much again as that window, or as an event replay would
-    (``_EVENT_WORK_PER_SUBIO`` per sub-I/O), whichever is more.  At
+    small windows, each pass paying a fixed NumPy overhead, and such a
+    solve can cost several event replays.  So work is counted per row,
+    in stacked columns served per pass plus ``_PASS_WORK`` per pass
+    (shared by the rows of a pass; a pass's fixed NumPy cost no longer
+    grows with the member count).  Past its first window — at most the
+    bit length of the trace's flight count in whole-trace passes — a
+    row may spend as much again as that window, or as an event replay
+    would (``_EVENT_WORK_PER_SUBIO`` per sub-I/O), whichever is more.  At
     each window's end, a row whose work so far plus the rest of the
     trace at the pace of its windows since the first would pass that
     budget is ``costly``: it stops, and callers refuse it.  A crawling
@@ -1076,49 +1371,30 @@ def _solve_two_phase(
 
     ``rank`` ``(P, barriers)``, when given, orders two flights' posts
     that reach one member at one instant (two barriers releasing
-    together): the event calendar breaks that tie by schedule sequence
-    numbers, which depend on the solved schedule, so the caller checks
-    the choice afterwards (:func:`_rmw_calendar_solve`).  ``tied`` flags
-    the rows where such a tie occurred.
+    together); flight order otherwise.  The event calendar breaks that
+    tie by schedule sequence numbers, which depend on the schedule
+    before the tie — frozen by the time the tie is.  So each window
+    checks the ties it froze (:func:`_window_tie_order`); a row whose
+    ties went against calendar order gets that order in ``rank``, and
+    the solve goes back to the last window start before the earliest
+    such tie and serves it again, keeping the barrier iterate (final
+    below the tie).  The caller still checks the whole schedule
+    (:func:`_rmw_calendar_solve`).  ``tied`` flags the rows where such a
+    tie occurred.
     """
     n_rows, n = dispatch.shape
     has_pre = exp.pre_counts > 0
-    post_mask = ~exp.is_pre & has_pre[exp.sub_flight]
-    # ``bar_at[f]`` counts the barrier flights before flight ``f``: the
-    # barrier column of a barrier flight, and a window's column range.
-    bar_at = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(has_pre, out=bar_at[1:])
-    # Each barrier flight's pre-read finishes fill a row of ``width``
-    # slots (a flight's pre block leads its plan), padded with -inf, so
-    # the barrier is a few elementwise maxima over the slot columns.
-    width = int(exp.pre_counts.max())
-    members: List[Optional[_RmwMember]] = []
-    for r, plan in zip(rows, plans):
-        if plan is None:
-            members.append(None)
-            continue
-        flight = exp.sub_flight[r]
-        is_post = post_mask[r]
-        pre = np.flatnonzero(exp.is_pre[r])
-        pre_flight = flight[pre]
-        members.append(
-            _RmwMember(
-                rows=r,
-                plan=plan,
-                flight=flight,
-                is_post=is_post,
-                post_barrier=np.where(is_post, bar_at[flight], -1),
-                pre=pre,
-                pre_slot=bar_at[pre_flight] * width
-                + (r[pre] - exp.flight_offsets[pre_flight]),
-                filled=np.zeros(n_rows, dtype=np.int64),
-                prev=np.full(n_rows, _NEG_INF),
-                cursor=np.full(n_rows, -1, dtype=np.int64),
-                carry_loc=np.empty((n_rows, 0), dtype=np.int64),
-                carry_arr=np.empty((n_rows, 0)),
-            )
-        )
+    members, bar_at, width = _rmw_members(exp, rows, plans, n_rows)
     live = [m for m in members if m is not None]
+    stacked: list = []
+
+    def stack() -> object:
+        """Every member's plan concatenated (``ServicePlan.stack``),
+        built on first use."""
+        if not stacked:
+            stacked.append(type(live[0].plan).stack([m.plan for m in live]))
+        return stacked[0]
+
     barrier = dispatch[:, has_pre]
     passes = np.zeros(n_rows, dtype=np.int64)
     windows = np.zeros(n_rows, dtype=np.int64)
@@ -1129,29 +1405,34 @@ def _solve_two_phase(
     proven = np.zeros(n_rows, dtype=np.int64)
     todo = np.arange(n_rows)
     lo, hi = 0, n
+    first = None
+    # Each window's start: (lo, hi, todo, every member's mark), so a
+    # window that froze a post tie against calendar order can be served
+    # again (:func:`_window_tie_order`); at most one rewind per barrier.
+    marks: list = []
+    rewinds = int(bar_at[n])
     while todo.size:
+        marks.append((lo, hi, todo, [m.mark() for m in live]))
         windows[todo] += 1
         b0, b1 = int(bar_at[lo]), int(bar_at[hi])
-        wins = [
-            _MemberWindow(m, todo, lo, hi, dispatch, b0 * width, rank)
-            for m in live
-        ]
+        win = _Window(
+            live, stack, todo, lo, hi, dispatch, (b0, b1), b0 * width, rank
+        )
         pre_fin = np.full((todo.size, (b1 - b0) * width), _NEG_INF)
         # The whole-trace window is cut after ``bits`` passes at the
         # earliest.
-        bits = n.bit_length() if lo == 0 and hi == n else 0
+        bits = n.bit_length() if first is None else 0
         span = dispatch[todo, lo:hi]
         act = np.arange(todo.size)  # window rows still moving
         solved = np.zeros(todo.size, dtype=bool)  # frozen to the trace end
         peak = 0  # the frontier's largest one-pass advance in this window
         pass_no = 0
-        cols = sum(w.order.shape[1] for w in wins)
+        cols = win.order.shape[1] * len(live)
         while True:
             at = todo[act]
-            spent[at] += cols + _MEMBER_PASS_WORK * len(wins) / act.size
+            spent[at] += cols + _PASS_WORK / act.size
             passes[at] += 1
-            for w in wins:
-                w.serve(act, barrier, pre_fin, pass_no == 0)
+            win.serve(act, barrier, pre_fin, pass_no == 0)
             pass_no += 1
             slots = pre_fin[act].reshape(act.size, b1 - b0, width)
             new = slots[..., 0].copy()
@@ -1165,8 +1446,7 @@ def _solve_two_phase(
                 proven[at[~still]] = hi
                 if hi == n:
                     # Stationary through the trace end: these rows are solved.
-                    for w in wins:
-                        w.freeze(act[~still], n, dispatch)
+                    win.freeze(act[~still], n, dispatch)
                     solved[act[~still]] = True
                 act, at = act[still], at[still]
                 old, new, moved = old[still], new[still], moved[still]
@@ -1185,19 +1465,49 @@ def _solve_two_phase(
             ):
                 cut = safe  # where this pass's schedule is proven final
                 break
-        if lo == 0:
+        if first is None:
             first = spent.copy()
             limit = first + np.maximum(first, event_work)
             first_cut = cut
-        elif cut < n:
+        elif first_cut < cut < n:
             # Spent so far, plus the rest of the trace at the pace of the
             # windows since the first: past the budget?
             pace = (spent[todo] - first[todo]) / (cut - first_cut)
             costly[todo] |= spent[todo] + pace * (n - cut) > limit[todo]
         rest = np.flatnonzero(~solved & ~costly[todo])
         if rest.size:
-            for w in wins:
-                w.freeze(rest, cut, dispatch)
+            win.freeze(rest, cut, dispatch)
+        done = np.flatnonzero(~costly[todo])
+        if rewinds and done.size:
+            # Two flights' posts tie only where two of the window's post
+            # instants (its barriers and carried posts) are equal.
+            inst = np.sort(np.concatenate(
+                (barrier[todo[done], b0:b1], win.carried[done]), axis=1
+            ), axis=1)
+            same = (inst[:, 1:] == inst[:, :-1]) & (inst[:, 1:] < np.inf)
+            done = done[np.any(same, axis=1)]
+        if rewinds and done.size:
+            rank, back = _window_tie_order(
+                exp, live, marks[-1][3], todo[done], solved[done],
+                dispatch, rank, bar_at,
+            )
+            if back:
+                # Serve again from the last window start before the
+                # earliest tie whose order changed: everything frozen
+                # there arrived earlier, so it stands.  The barrier
+                # iterate is kept: below the tie it is final.
+                rewinds -= 1
+                at = min(back.values())
+                w = max(j for j, mk in enumerate(marks) if mk[0] < at)
+                lo, hi, todo, state = marks[w]
+                del marks[w:]
+                for m, st in zip(live, state):
+                    m.restore(st)
+                todo = todo[~costly[todo]]
+                for i, f in back.items():
+                    proven[i] = min(proven[i], f)
+                proven[todo] = np.minimum(proven[todo], hi)
+                continue
         lo, hi = cut, _next_window(lo, hi, cut, peak, n)
         todo = todo[rest]
     if costly.any():
@@ -1220,7 +1530,7 @@ def _solve_two_phase(
         sub_fin[every, m.rows[o]] = m.fin
         if m.rows.size >= 2:
             tied |= np.any(_post_ties(m, o, a), axis=1)
-    return _TwoPhase(members, costly, tied, sub_fin, passes, windows)
+    return _TwoPhase(members, costly, tied, sub_fin, passes, windows, rank)
 
 
 def _post_ties(m: _RmwMember, o: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -1244,7 +1554,8 @@ class _Member:
     read-modify-write path the serving order varies per row, so the
     ``plan`` is kept and priced per order.  Otherwise it is priced once
     in plan order (``svc``) and dropped, so no two members' plans are
-    alive at once.
+    alive at once; ``end_sectors`` keeps the one column of it a commit
+    needs.
     """
 
     dev: QueuedDevice
@@ -1287,7 +1598,7 @@ def _prepare_member(
     if int(plan.end_sectors.max()) > dev.capacity_sectors:
         raise _Fallback(f"{dev.name}: request beyond capacity")
     if keep_plan:
-        return _Member(dev, rows, plan.end_sectors, plan=plan)
+        return _Member(dev, rows, plan=plan)
     return _Member(
         dev, rows, plan.end_sectors, svc=plan.full(np.arange(rows.size))
     )
@@ -1542,21 +1853,102 @@ def _calendar_sorted(cal: _Calendar, flights, event) -> list:
     ))
 
 
-def _post_tie_groups(cal: _Calendar, two: _TwoPhase, i: int) -> Tuple[list, bool]:
-    """Row ``i``'s groups of flights whose posts tie at some member, and
-    whether every such tie was served in calendar order."""
+def _post_tie_groups(
+    cal: _Calendar, spans: list, i: int
+) -> Tuple[dict, set]:
+    """Row ``i``'s groups of flights whose posts tie at some member, by
+    instant, over the serving positions ``spans`` (``(member, begin,
+    end)``), and the instants whose ties went against calendar order."""
     groups: dict = {}
-    agree = True
-    for m in two.members:
-        if m is None or m.rows.size < 2:
-            continue
-        o, a = m.order[i], m.arrivals[i]
+    wrong = set()
+    for m, b, e in spans:
+        o, a = m.order[i, b:e], m.arrivals[i, b:e]
         fl = m.flight[o]
         for j in np.flatnonzero(_post_ties(m, o, a)).tolist():
             f, g = int(fl[j]), int(fl[j + 1])
-            agree = agree and cal.before(cal.barrier(f), cal.barrier(g))
-            groups.setdefault(float(a[j]), set()).update((f, g))
-    return list(groups.values()), agree
+            t = float(a[j])
+            groups.setdefault(t, set()).update((f, g))
+            if not cal.before(cal.barrier(f), cal.barrier(g)):
+                wrong.add(t)
+    return groups, wrong
+
+
+def _rank_in_calendar_order(
+    cal: _Calendar, groups: dict, wrong: set, rank: Optional[np.ndarray],
+    i: int, bar_at: np.ndarray, n_rows: int,
+) -> np.ndarray:
+    """``rank`` (flight order if None) with row ``i``'s ``wrong`` tie
+    groups sorted into calendar order."""
+    if rank is None:
+        rank = np.tile(np.arange(bar_at[-1]), (n_rows, 1))
+    for t in wrong:
+        cols = bar_at[_calendar_sorted(cal, groups[t], cal.barrier)]
+        rank[i, cols] = np.sort(rank[i, cols])
+    return rank
+
+
+def _window_tie_order(
+    exp: FlightExpansion,
+    live: List[_RmwMember],
+    marked: list,
+    cells: np.ndarray,
+    solved: np.ndarray,
+    dispatch: np.ndarray,
+    rank: Optional[np.ndarray],
+    bar_at: np.ndarray,
+) -> Tuple[Optional[np.ndarray], dict]:
+    """Check the post ties a window just froze against calendar order.
+
+    ``cells`` are the rows the window froze (``solved``: to the trace
+    end), ``marked`` each member's :meth:`_RmwMember.mark` from the
+    window's start.  A tie's calendar order depends only on events
+    before it, all of them frozen, so the frozen part of a row is enough
+    to answer it.  Returns ``rank`` — with every group of flights whose
+    tied posts went against calendar order sorted into it (created on
+    first need) — and, for each row that changed, the first flight
+    dispatched at or after its earliest such tie.  A row whose walk
+    nests too deep is left to the check after the solve.
+    """
+    seen: dict = {}  # row -> [(member, begin, end)]: new posts that tie
+    for m, st in zip(live, marked):
+        k = m.rows.size
+        end = np.where(solved, k, m.filled[cells])
+        begin = np.maximum(st[0][cells] - 1, 0)
+        a0, a1 = int(begin.min()), int(end.max())
+        if a1 - a0 < 2:
+            continue
+        pos = np.arange(a0, a1 - 1)
+        # Past a row's end the arrays hold no schedule yet.
+        o = np.clip(m.order[cells, a0:a1], 0, k - 1)
+        tie = _post_ties(m, o, m.arrivals[cells, a0:a1]) & (
+            (pos >= begin[:, None]) & (pos + 1 < end[:, None])
+        )
+        for r in np.flatnonzero(tie.any(axis=1)).tolist():
+            seen.setdefault(r, []).append((m, int(begin[r]), int(end[r])))
+    back = {}
+    for r, got in seen.items():
+        i = int(cells[r])
+        fin = np.full(exp.total, np.nan)
+        schedules = []
+        for m in live:
+            e = k = m.rows.size
+            if not solved[r]:
+                e = int(m.filled[i])
+            o = m.order[i:i + 1, :e]
+            schedules.append((m.rows, o, m.arrivals[i:i + 1, :e]))
+            fin[m.rows[o[0]]] = m.fin[i, :e]
+        try:
+            cal = _Calendar(exp, schedules, dispatch[i:i + 1], fin[None], 0)
+            groups, wrong = _post_tie_groups(cal, got, i)
+            if not wrong:
+                continue
+            rank = _rank_in_calendar_order(
+                cal, groups, wrong, rank, i, bar_at, dispatch.shape[0]
+            )
+        except _Fallback:
+            continue
+        back[i] = int(np.searchsorted(dispatch[i], min(wrong)))
+    return rank, back
 
 
 def _order_tied_completions(
@@ -1587,12 +1979,15 @@ def _rmw_calendar_solve(
     """The RMW fixpoint with post ties in calendar order.
 
     The solve orders two flights' equal post arrivals at one member by
-    ``rank`` — flight order until shown otherwise.  A solved row whose
-    tied posts went against the calendar order of its own schedule gets
-    that order as its rank and is solved again.  A schedule is exact once
-    they agree: each tie's calendar order depends only on what ran
-    before it, which the agreeing order served exactly.  Each re-solve
-    settles at least the earliest disagreeing tie, so the loop ends.
+    ``rank`` — flight order until shown otherwise — and already puts
+    the ties each window froze in calendar order (see
+    :func:`_solve_two_phase`).  A solved row whose tied posts still went
+    against the calendar order of its own schedule (a window's walk
+    nested too deep, or its rewinds ran out) gets that order as its
+    rank and is solved again.  A schedule is exact once they agree: each
+    tie's calendar order depends only on what ran before it, which the
+    agreeing order served exactly.  Each re-solve settles at least the
+    earliest disagreeing tie, so the loop ends.
     Rows whose calendar walk nests too deep are refused in ``reasons``;
     ``ties`` counts each row's post tie groups.
     """
@@ -1600,8 +1995,10 @@ def _rmw_calendar_solve(
     rows = [m.rows for m in plane.members]
     plans = [m.plan for m in plane.members]
     two = _solve_two_phase(exp, rows, plans, dispatch)
-    bar_col = np.cumsum(exp.pre_counts > 0) - 1
-    rank = None
+    bar_at = np.zeros(exp.pre_counts.size + 1, dtype=np.int64)
+    np.cumsum(exp.pre_counts > 0, out=bar_at[1:])
+    spans = [(m, 0, m.rows.size) for m in two.members if m is not None]
+    rank = two.rank
     while True:
         redo = []
         for i in np.flatnonzero(two.tied & ~two.costly).tolist():
@@ -1614,15 +2011,13 @@ def _rmw_calendar_solve(
                      for m in two.members if m is not None],
                     dispatch, two.sub_fin, i,
                 )
-                groups, agree = _post_tie_groups(cal, two, i)
-                if agree:
+                groups, wrong = _post_tie_groups(cal, spans, i)
+                if not wrong:
                     ties[i] += len(groups)
                     continue
-                if rank is None:
-                    rank = np.tile(np.arange(bar_col[-1] + 1), (len(reasons), 1))
-                for group in groups:
-                    cols = bar_col[_calendar_sorted(cal, group, cal.barrier)]
-                    rank[i, cols] = np.sort(rank[i, cols])
+                rank = _rank_in_calendar_order(
+                    cal, groups, wrong, rank, i, bar_at, len(reasons)
+                )
             except _Fallback as exc:
                 reasons[i] = exc.reason
                 continue
@@ -1637,6 +2032,7 @@ def _rmw_calendar_solve(
                 )
         for name in ("costly", "tied", "sub_fin"):
             getattr(two, name)[redo] = getattr(again, name)
+        rank[redo] = again.rank
         two.passes[redo] += again.passes
         two.windows[redo] += again.windows
 
@@ -1807,7 +2203,9 @@ def _commit(plane: _Plane, sol: _Solution, queued: list) -> None:
         s.apply_state()
         dev.completed_count += n
         last = n - 1 if s.order is None else int(s.order[0, -1])
-        dev._head_hint = int(member.end_sectors[last])
+        ends = member.end_sectors if member.plan is None else \
+            member.plan.end_sectors
+        dev._head_hint = int(ends[last])
         dev._queue.pushed_total += int(push.size)
         dev._queue.popped_total += int(push.size)
         if high > dev.queued_high_water:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .queueing import QueueDiscipline
@@ -90,6 +92,80 @@ class ServicePlan(ABC):
         ``(P, k)`` matrix each row ends in its own state, so it raises
         :class:`ValueError`.
         """
+
+    @classmethod
+    def stack(cls, plans: Sequence["ServicePlan"]):
+        """One plan pricing the rows of several devices' plans at once:
+        it has :meth:`seconds` only.
+
+        Plan ``j``'s prepared row ``i`` is row ``offsets[j] + i`` of the
+        stack (``offsets`` the running sum of the plans' row counts).
+        An order row of :meth:`seconds` serves rows of one plan only,
+        from that plan's prepared cursors or ``after`` one of its rows
+        (a stack index), bit-identical to that plan serving the same
+        rows.  This generic stack prices each plan's order rows with the
+        plan itself; a device model whose plans concatenate overrides it
+        with one plan over every row, so that one evaluation prices
+        them all.
+        """
+        return _PlanStack(plans)
+
+    #: Row offsets of the stacked plans (None: one device's plan).
+    _offsets = None
+
+    def _owner(self, first):
+        """Which stacked plan's cursors an order row whose column 0 is
+        ``first`` starts from: index into the per-plan cursor columns."""
+        if self._offsets is None:
+            return 0
+        return np.searchsorted(self._offsets, first, side="right") - 1
+
+    @classmethod
+    def _concatenate(cls, plans, row_fields, cursor_fields):
+        """A ``cls`` plan over ``plans``' rows back to back (no device).
+
+        ``row_fields`` are per-row columns; each plan keeps working on
+        views of the stack's, so a row is held once.  ``cursor_fields``
+        hold each plan's prepared cursors, one entry per plan.
+        """
+        out = cls.__new__(cls)
+        out._drive = None
+        sizes = [p.end_sectors.size for p in plans]
+        out._offsets = np.concatenate(([0], np.cumsum(sizes)))
+        edges = out._offsets.tolist()
+        bounds = list(zip(edges[:-1], edges[1:]))
+        for name in row_fields:
+            col = np.concatenate([getattr(p, name) for p in plans])
+            setattr(out, name, col)
+            for p, (a, b) in zip(plans, bounds):
+                setattr(p, name, col[a:b])
+        for name in cursor_fields:
+            setattr(out, name,
+                    np.concatenate([getattr(p, name) for p in plans]))
+        return out
+
+
+class _PlanStack:
+    """The generic :meth:`ServicePlan.stack`: one call per plan."""
+
+    def __init__(self, plans: Sequence[ServicePlan]) -> None:
+        self.plans = list(plans)
+        sizes = [p.end_sectors.size for p in self.plans]
+        self.offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+
+    def seconds(self, order, after=None):
+        owner = np.searchsorted(self.offsets, order[:, 0], side="right") - 1
+        out = np.empty(order.shape)
+        for j, plan in enumerate(self.plans):
+            mine = np.flatnonzero(owner == j)
+            if not mine.size:
+                continue
+            base = self.offsets[j]
+            local = None
+            if after is not None:
+                local = np.where(after[mine] >= 0, after[mine] - base, -1)
+            out[mine] = plan.seconds(order[mine] - base, local)
+        return out
 
 
 def no_row_state() -> None:

@@ -244,11 +244,15 @@ class _HDDServicePlan(ServicePlan):
         self.end_sectors = self.sectors + -(-nbytes // SECTOR_BYTES)
         self.cursor_rows = np.ones(self.sectors.shape, dtype=bool)
         is_write = self.ops == WRITE
-        # The drive's cursors at preparation: column 0 of every order
-        # continues from them.
-        self._last_end = drive._last_end_sector
-        self._last_op = drive._last_op
-        self._head = drive._head_sector
+        # The drive's cursors at preparation, where column 0 of every
+        # order starts (-1: no streaming context / no last op); a stack
+        # keeps one entry per drive.
+        last_end = drive._last_end_sector
+        self._head = np.array([drive._head_sector])
+        self._stream = np.array([-1 if last_end is None else last_end])
+        self._last_op = np.array(
+            [-1 if drive._last_op is None else drive._last_op]
+        )
         self._cap = max(drive.capacity_sectors, 1)
         self._turnaround = np.where(
             is_write, spec.read_to_write_turnaround, spec.write_to_read_turnaround
@@ -274,6 +278,7 @@ class _HDDServicePlan(ServicePlan):
         rows served in ``order``, where ``cost`` is ``command_overhead
         + turnaround`` (``after``: see :meth:`ServicePlan.seconds`)."""
         spec = self.spec
+        order = np.asarray(order)
         sectors = np.take(self.sectors, order)
         ends = np.take(self.end_sectors, order)
         ops = np.take(self.ops, order)
@@ -282,40 +287,33 @@ class _HDDServicePlan(ServicePlan):
             return empty, empty, empty, empty, empty, ends, ops
         # Seek distance from the head, which the scalar path always
         # leaves at the previous request's end sector; a request that
-        # starts there streams (no seek, no rotation) — column 0
-        # continues from the drive's cursors (a None streaming context
-        # never streams).
+        # starts at the streaming end streams (no seek, no rotation).
+        # Column 0 continues from its drive's cursors, or from the end
+        # of prepared row ``after``, where that row's service left the
+        # head, the streaming end and the last op.
+        first = sectors[..., 0]
+        own = self._owner(order[..., 0])
+        head, stream = self._head[own], self._stream[own]
+        last_op = self._last_op[own]
+        if after is not None:
+            resumed = after >= 0
+            prior = np.maximum(after, 0)
+            end = np.take(self.end_sectors, prior)
+            head = np.where(resumed, end, head)
+            stream = np.where(resumed, end, stream)
+            last_op = np.where(resumed, np.take(self.ops, prior), last_op)
         distance = np.empty_like(sectors)
         np.subtract(sectors[..., 1:], ends[..., :-1], out=distance[..., 1:])
-        distance[..., 0] = sectors[..., 0] - self._head
+        distance[..., 0] = first - head
         np.abs(distance, out=distance)
         rotating = distance != 0
-        if self._last_end is not None:
-            rotating[..., 0] = sectors[..., 0] != self._last_end
-        else:
-            rotating[..., 0] = True
+        rotating[..., 0] = first != stream
         seeking = rotating.copy()
         seeking[..., 0] &= distance[..., 0] != 0
         # Turnaround on op-type switches (paid even while streaming).
         switched = np.empty(ops.shape, dtype=bool)
         np.not_equal(ops[..., 1:], ops[..., :-1], out=switched[..., 1:])
-        switched[..., 0] = (
-            ops[..., 0] != self._last_op if self._last_op is not None else False
-        )
-        if after is not None:
-            # Resumed rows continue from prepared row ``after``, whose
-            # service left the head, streaming context and last op at
-            # its own end: column 0 takes the in-order column's terms.
-            resumed = after >= 0
-            prior = np.maximum(after, 0)
-            moved = np.abs(sectors[..., 0] - np.take(self.end_sectors, prior))
-            distance[..., 0] = np.where(resumed, moved, distance[..., 0])
-            rotating[..., 0] = np.where(resumed, moved != 0, rotating[..., 0])
-            seeking[..., 0] = np.where(resumed, moved != 0, seeking[..., 0])
-            switched[..., 0] = np.where(
-                resumed, ops[..., 0] != np.take(self.ops, prior),
-                switched[..., 0],
-            )
+        switched[..., 0] = (ops[..., 0] != last_op) & (last_op >= 0)
         cost = spec.command_overhead + np.take(self._turnaround, order) * switched
         seek = (
             spec.settle_time
@@ -330,6 +328,26 @@ class _HDDServicePlan(ServicePlan):
 
     def seconds(self, order, after=None):
         return self._terms(order, after)[4]
+
+    @classmethod
+    def stack(cls, plans):
+        """Drives of one spec concatenate; others price one by one."""
+        spec, cap = plans[0].spec, plans[0]._cap
+        if any(
+            type(p) is not cls or p.spec != spec or p._cap != cap
+            for p in plans
+        ):
+            return super().stack(plans)
+        out = cls._concatenate(
+            plans,
+            ("sectors", "end_sectors", "ops", "_turnaround", "_rotation",
+             "_transfer") + (("_destage",) if spec.write_cache else ()),
+            ("_head", "_stream", "_last_op"),
+        )
+        out.spec, out._cap = spec, cap
+        if not spec.write_cache:
+            out._destage = None
+        return out
 
     def full(self, order) -> VectorService:
         spec = self.spec

@@ -116,7 +116,12 @@ class _SSDServicePlan(ServicePlan):
         self.end_sectors = self.sectors + -(-nbytes // SECTOR_BYTES)
         self.is_write = ops == WRITE
         self.cursor_rows = self.is_write
-        self._last_write_end = drive._last_write_end
+        # The drive's write stream at preparation, which column 0 of
+        # every order continues (-1, below every sector: no FTL context,
+        # so the first write is never sequential); a stack keeps one
+        # entry per drive.
+        last = drive._last_write_end
+        self._stream = np.array([-1 if last is None else last])
         is_write = self.is_write
         latency = np.where(is_write, spec.write_latency, spec.read_latency)
         rate = np.where(is_write, spec.write_rate, spec.read_rate)
@@ -142,17 +147,14 @@ class _SSDServicePlan(ServicePlan):
         prev_w[..., 1:] = last_w[..., :-1]
         prev_w[..., 0] = -1
         gathered = np.take_along_axis(ends, np.maximum(prev_w, 0), axis=-1)
-        # No FTL context (-1, below every sector): the first write is
-        # never sequential.
-        dev_prev = (
-            self._last_write_end if self._last_write_end is not None else -1
-        )
+        dev_prev = self._stream[self._owner(np.asarray(order)[..., 0])]
         if after is not None:
             # Resumed rows continue the stream of prepared write ``after``.
             dev_prev = np.where(
                 after >= 0, np.take(self.end_sectors, np.maximum(after, 0)),
                 dev_prev,
-            )[..., None]
+            )
+        dev_prev = np.asarray(dev_prev)[..., None]
         w_prev_end = np.where(prev_w >= 0, gathered, dev_prev)
         w_seq = is_write & (np.take(self.sectors, order) == w_prev_end)
         return is_write & ~w_seq
@@ -163,6 +165,21 @@ class _SSDServicePlan(ServicePlan):
 
     def seconds(self, order, after=None):
         return self._total(order, self._random(order, after))
+
+    @classmethod
+    def stack(cls, plans):
+        """Drives of one merge overhead concatenate; others price one
+        by one."""
+        overhead = plans[0]._overhead
+        if any(type(p) is not cls or p._overhead != overhead for p in plans):
+            return super().stack(plans)
+        out = cls._concatenate(
+            plans,
+            ("sectors", "end_sectors", "is_write", "_cost", "_transfer"),
+            ("_stream",),
+        )
+        out._overhead = overhead
+        return out
 
     def full(self, order) -> VectorService:
         random = self._random(order)

@@ -172,3 +172,44 @@ def test_empty_plan():
         assert svc.seconds.size == 0 and svc.watts.size == 0
         svc.apply_state()
         assert _state(dev) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(plan_cases(), min_size=1, max_size=4), st.data())
+def test_stacked_plans_match_each_plan(cases, data):
+    """A stack of several drives' plans prices each order row as the
+    plan owning it would, bit for bit: from that plan's prepared
+    cursors, or resumed after one of its rows.  Drives of one kind and
+    spec concatenate into one plan; mixed ones take the generic stack."""
+    plans = []
+    for kind, cursor, sectors, nbytes, ops, _ in cases:
+        cols = [np.array(c, dtype=np.int64) for c in (sectors, nbytes, ops)]
+        plans.append(_device(kind, cursor).prepare_service(*cols))
+    stack = type(plans[0]).stack(plans)
+    kinds = {case[0] for case in cases}
+    assert (type(stack) is type(plans[0])) == (len(kinds) == 1)
+    offsets = np.cumsum([0] + [p.end_sectors.size for p in plans])
+    orders, afters, expect = [], [], []
+    for j, (plan, case) in enumerate(zip(plans, cases)):
+        for order in case[5]:
+            after = -1
+            if data.draw(st.booleans()):
+                after = data.draw(st.integers(0, order.size - 1))
+                if not plan.cursor_rows[after]:
+                    after = -1
+            expect.append(plan.seconds(order[None, :], np.array([after]))[0])
+            orders.append(order + offsets[j])
+            afters.append(after + offsets[j] if after >= 0 else -1)
+    width = max(o.size for o in orders)
+    # Rows pad with their own plan's last row, as the RMW solver does.
+    padded = np.array([
+        np.concatenate((o, np.full(width - o.size, o.max()))) for o in orders
+    ])
+    got = stack.seconds(padded, np.array(afters))
+    for i, ref in enumerate(expect):
+        assert _bits(got[i, :ref.size]) == _bits(ref)
+    none = stack.seconds(padded)
+    for i, order in enumerate(orders):
+        j = int(np.searchsorted(offsets, order[0], side="right")) - 1
+        ref = plans[j].seconds(order - offsets[j])
+        assert _bits(none[i, :ref.size]) == _bits(ref)

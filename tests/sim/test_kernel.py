@@ -12,6 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ReplayConfig
 from repro.errors import ReplayError
@@ -25,7 +26,7 @@ from repro.sim.kernel import (
     _solve_lindley,
     _solve_link_chain,
 )
-from repro.storage.array import DiskArray, build_hdd_raid5
+from repro.storage.array import DiskArray, build_hdd_raid5, build_ssd_raid5
 from repro.storage.hdd import HardDiskDrive
 from repro.storage.raid import RaidLevel
 from repro.storage.specs import SEAGATE_7200_12
@@ -222,6 +223,110 @@ class TestRaggedRows:
         assert calls == {"_lindley_scalar": 1, "_chain_scalar": 1}
 
 
+def _busy_rows(seed, n_rows, width, long_runs, pad, pad_value):
+    """``(P, width)`` submit rows made of busy runs: mostly 1-3
+    requests each (a few 40-200 long with ``long_runs``), split by idle
+    gaps that sometimes fall short, so that runs merge; the last
+    ``pad`` columns of every row are ``pad_value``.  Service times are
+    per row."""
+    rng = np.random.default_rng(seed)
+    sv = rng.random((n_rows, width)) * 0.01 + 1e-4
+    submit = np.empty((n_rows, width))
+    for r in range(n_rows):
+        t, k = 0.0, 0
+        while k < width:
+            run = int(rng.integers(1, 4))
+            if long_runs and rng.random() < 0.2:
+                run = int(rng.integers(40, 201))
+            run = min(run, width - k)
+            # Tied submits inside a run; the gap after it is usually
+            # longer than the run's service (an idle restart).
+            submit[r, k:k + run] = t
+            t += float(sv[r, k:k + run].sum()) * rng.choice([0.5, 2.0, 5.0])
+            k += run
+    if pad:
+        submit[:, -pad:] = pad_value
+    return submit, sv
+
+
+class TestScalarBusyRuns:
+    """Short busy runs take one float loop, long ones a seeded cumsum
+    each, many short ones the offset sweep (:func:`kernel._busy_run_regime`);
+    every regime is bit-identical to the scalar recurrence."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 4),
+        width=st.integers(1, 400),
+        long_runs=st.booleans(),
+        pad=st.integers(0, 5),
+        pad_value=st.sampled_from([_NEG_INF, np.inf]),
+        prev=st.sampled_from(["none", "rows", "late"]),
+    )
+    def test_both_sides_of_the_crossover(
+        self, seed, n_rows, width, long_runs, pad, pad_value, prev
+    ):
+        pad = min(pad, width - 1)
+        submit, sv = _busy_rows(seed, n_rows, width, long_runs, pad, pad_value)
+        if prev == "none":
+            prev_rows = np.full(n_rows, _NEG_INF)
+        else:
+            # Per row: the server busy until a point inside (or, "late",
+            # past most of) the row, so its first runs merge.
+            top = np.nanmax(np.where(np.isfinite(submit), submit, np.nan),
+                            axis=1)
+            scale = 0.3 if prev == "rows" else 0.9
+            jitter = np.random.default_rng(seed).random(n_rows)
+            prev_rows = top * scale * jitter
+        got = _solve_lindley(submit, sv, prev_rows)
+        for i in range(n_rows):
+            expect = _lindley_scalar(submit[i], sv[i], float(prev_rows[i]))
+            assert np.array_equal(got[i], expect), i
+        chain_prev = float(prev_rows[0])
+        p = sv[0]
+        gd, gl = _solve_link_chain(submit, 5e-5, p, chain_prev)
+        for i in range(n_rows):
+            ed, el = _chain_scalar(submit[i], 5e-5, p, chain_prev)
+            assert np.array_equal(gd[i], ed) and np.array_equal(gl[i], el), i
+
+    @pytest.mark.parametrize(
+        "long_runs, width, regime",
+        [(False, 60, "scalar"), (True, 400, "cumsum"), (False, 400, "sweep")],
+    )
+    def test_each_regime_is_taken(self, long_runs, width, regime, monkeypatch):
+        """Fixed inputs on each side of the crossover: the evaluators
+        take the regime the cost rule names, and match the reference."""
+        taken = []
+        rule = kernel._busy_run_regime
+
+        def spy(n, heads, sweep=True):
+            taken.append(rule(n, heads, sweep))
+            return taken[-1]
+
+        monkeypatch.setattr(kernel, "_busy_run_regime", spy)
+        seed = {"scalar": 3, "cumsum": 5, "sweep": 8}[regime]
+        n_rows = 1 if regime == "cumsum" else 3
+        submit, sv = _busy_rows(seed, n_rows, width, long_runs, 2, _NEG_INF)
+        _assert_lindley_rows(submit, sv, _NEG_INF)
+        assert regime in taken
+        taken.clear()
+        _assert_chain_rows(submit, 5e-5, sv[0], _NEG_INF)
+        assert regime in taken
+
+    def test_crossover_rule(self):
+        """Run count against column count: short runs loop, long ones
+        cumsum, and enough short ones sweep."""
+        rule = kernel._busy_run_regime
+        assert rule(40, np.arange(0, 40, 2)) == "scalar"
+        assert rule(400, np.arange(0, 400, 100)) == "cumsum"
+        assert rule(600, np.arange(0, 600, 2)) == "sweep"
+        assert rule(600, np.arange(0, 600, 2), sweep=False) == "scalar"
+        limit = kernel._SCALAR_MAX_RUN
+        assert rule(limit * 4 - 1, np.arange(4) * limit) == "scalar"
+        assert rule(limit * 4, np.arange(4) * limit) == "cumsum"
+
+
 class TestPostMerge:
     """The RMW fixpoint orders a member by merging its re-sorted post
     writes into its dispatch-ordered fixed rows; the result must be the
@@ -368,20 +473,38 @@ class TestCalendarTies:
     def test_post_ties_against_flight_order_are_solved_again(
         self, monkeypatch
     ):
+        """A window that froze tied posts against calendar order is
+        served again from an earlier window start, inside the one
+        solve; the check after the solve re-solves what it misses."""
         trace = _paper_sweep_trace(_SSD_MIXED[0], _ssd_raid5x4, _SSD_MIXED[1])
-        ranks = []
+        ranks, backs = [], []
         solve = kernel._solve_two_phase
+        window_order = kernel._window_tie_order
 
         def spy(exp, rows, plans, dispatch, rank=None):
             ranks.append(rank)
             return solve(exp, rows, plans, dispatch, rank)
 
+        def spy_order(*args):
+            got = window_order(*args)
+            backs.append(got[1])
+            return got
+
         monkeypatch.setattr(kernel, "_solve_two_phase", spy)
+        monkeypatch.setattr(kernel, "_window_tie_order", spy_order)
+        _assert_matches_event(trace, _ssd_raid5x4, 0.7)
+        assert ranks == [None] and any(backs)
+        # Without the window check the solve ends in flight order, and
+        # the check after it solves the row again.
+        ranks.clear()
+        monkeypatch.setattr(
+            kernel, "_window_tie_order", lambda *args: (args[6], {})
+        )
         _assert_matches_event(trace, _ssd_raid5x4, 0.7)
         assert ranks[0] is None and ranks[1] is not None
         # Solved once, in flight order, the row would be wrong.
         monkeypatch.setattr(
-            kernel, "_post_tie_groups", lambda *args: ([], True)
+            kernel, "_post_tie_groups", lambda *args: ({}, set())
         )
         config = ReplayConfig()
         once = _capture_run(trace, _ssd_raid5x4, 0.7, config, "kernel")
@@ -450,21 +573,16 @@ def _chain_trace(n=120, gap=0.008):
 class _Windows:
     """Records each RMW window a solve runs: ``[lo, hi, passes]``.
 
-    A window builds one member window per serving member and serves each
-    once per pass; :func:`kernel._next_window` closes it.
+    A window serves every member at once, once per pass;
+    :func:`kernel._next_window` closes it.
     """
 
     def __init__(self, monkeypatch):
         self.log = []
-        self._members = self._serves = 0
+        self._serves = 0
         spy = self
-        base = kernel._MemberWindow
 
-        class Spy(base):
-            def __init__(self, m, rows, lo, hi, *args):
-                super().__init__(m, rows, lo, hi, *args)
-                spy._members += 1
-
+        class Spy(kernel._Window):
             def serve(self, *args):
                 spy._serves += 1
                 return super().serve(*args)
@@ -472,11 +590,11 @@ class _Windows:
         close = kernel._next_window
 
         def next_window(lo, hi, cut, peak, n):
-            self.log.append([lo, hi, self._serves // self._members])
-            self._members = self._serves = 0
+            self.log.append([lo, hi, self._serves])
+            self._serves = 0
             return close(lo, hi, cut, peak, n)
 
-        monkeypatch.setattr(kernel, "_MemberWindow", Spy)
+        monkeypatch.setattr(kernel, "_Window", Spy)
         monkeypatch.setattr(kernel, "_next_window", next_window)
 
 
@@ -524,6 +642,161 @@ def _barriers(trace, factory):
 
 def _hdd_raid5x6():
     return build_hdd_raid5(6)
+
+
+def _small_writes(seed, n, gap, region=1 << 22):
+    """``n`` bunches of one 4-16 KiB request (70% writes) in the first
+    ``region`` sectors, Poisson arrivals with mean ``gap``."""
+    rng = np.random.default_rng(seed)
+    packages = np.empty(n, dtype=PACKED_PACKAGE_DTYPE)
+    packages["sector"] = rng.integers(0, region // 8 - 4, n) * 8
+    packages["nbytes"] = rng.choice([4096, 16384], n)
+    packages["op"] = rng.random(n) < 0.7
+    return PackedTrace(
+        np.cumsum(rng.exponential(gap, n)), np.arange(n + 1), packages,
+        label="small-writes",
+    )
+
+
+def _member_reference(m, r, lo, hi, dispatch, barrier, resumed):
+    """One member's pass over window ``[lo, hi)`` for cell ``r``, on its
+    own: its carried posts and the window's local rows by stable
+    arrival order, priced by its own plan from its own cursor, queued
+    from its own ``prev``."""
+    k = m.rows.size
+    a, b = m.start(lo), m.start(hi)
+    real = m.carry_loc[r] < k
+    own = np.arange(a, b)
+    locs = np.concatenate((m.carry_loc[r][real], own))
+    arr = np.concatenate((
+        m.carry_arr[r][real],
+        np.where(
+            m.is_post[own], barrier[r, np.maximum(m.post_barrier[own], 0)],
+            dispatch[r, m.flight[own]],
+        ),
+    ))
+    order = np.argsort(arr, kind="stable")
+    loc, arrivals = locs[order], arr[order]
+    after = np.array([m.cursor[r] if resumed else -1])
+    seconds = m.plan.seconds(loc[None, :], after)[0]
+    fin = _lindley_scalar(
+        arrivals, seconds, float(m.prev[r]) if resumed else _NEG_INF
+    )
+    return loc, arrivals, seconds, fin
+
+
+class TestStackedPass:
+    """One stacked pass serves every member of a window as rows of one
+    problem; each member's share must equal that member served alone,
+    bit for bit: serving order, arrivals, service seconds, finishes."""
+
+    def _check(self, win, live, lo, hi, dispatch, barrier, resumed):
+        n_mem = len(live)
+        checked = 0
+        for r in range(dispatch.shape[0]):
+            for j, m in enumerate(live):
+                loc, arrivals, seconds, fin = _member_reference(
+                    m, r, lo, hi, dispatch, barrier, resumed
+                )
+                s = r * n_mem + j
+                o = win.order[s]
+                got = win._local(o[None, :], np.array([s]))[0]
+                w = loc.size
+                assert got[:w].tolist() == loc.tolist(), (r, j)
+                assert np.all(got[w:] == m.rows.size), (r, j)
+                assert win.arrivals[s][:w].tolist() == arrivals.tolist()
+                assert win.seconds[s][:w].tolist() == seconds.tolist()
+                assert win.col_fin[s][o][:w].tolist() == fin.tolist(), (r, j)
+                checked += w
+        assert checked
+
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    @pytest.mark.parametrize(
+        "factory, gap",
+        [
+            (lambda: build_hdd_raid5(6), 0.004),
+            (lambda: build_ssd_raid5(4), 0.0002),
+        ],
+        ids=["hdd-raid5x6", "ssd-raid5x4"],
+    )
+    def test_equals_each_member_alone(
+        self, factory, gap, one_row_blocks, monkeypatch
+    ):
+        """Rows are served in blocks that mix members (priced by the
+        concatenated plan), or, as a large one-cell window is, one row
+        at a time (each priced by its member's own plan)."""
+        if one_row_blocks:
+            monkeypatch.setattr(kernel, "_PASS_BLOCK", 1)
+        dev = factory()
+        # A warm-up replay leaves every member at its own cursors, so
+        # each stacked row must start from its own member's state.
+        replay_trace(_small_writes(7, 30, gap), dev, 1.0, engine="event")
+        trace = _small_writes(11, 120, gap)
+        plane = kernel._prepare_plane(trace, dev)
+        exp = plane.exp
+        times = np.repeat(trace.timestamps, np.diff(trace.offsets))
+        dispatch = np.stack([times, times * 0.5, times * 2.0])
+        if one_row_blocks:
+            dispatch = dispatch[:1]
+        n_rows, n = dispatch.shape
+        members, bar_at, width = kernel._rmw_members(
+            exp, [m.rows for m in plane.members],
+            [m.plan for m in plane.members], n_rows,
+        )
+        live = [m for m in members if m is not None]
+        sizes = {m.rows.size for m in live}
+        assert len(live) == len(dev.disks) and len(sizes) > 1  # unequal
+        plan = type(live[0].plan).stack([m.plan for m in live])
+        n_bar = int(bar_at[-1])
+        # Posts released a little after dispatch, so they interleave
+        # with later flights' requests.
+        rng = np.random.default_rng(3)
+        barrier = dispatch[:, exp.pre_counts > 0]
+        barrier = barrier + rng.random((n_rows, n_bar)) * 0.05
+        every = np.arange(n_rows)
+
+        win = kernel._Window(
+            live, lambda: plan, every, 0, n, dispatch, (0, n_bar), 0
+        )
+        pre_fin = np.full((n_rows, n_bar * width), _NEG_INF)
+        win.serve(every, barrier, pre_fin, True)
+        self._check(win, live, 0, n, dispatch, barrier, False)
+
+        # Freeze the first half and resume: each row now starts from its
+        # member's frozen finish, plan cursor and carried posts.
+        cut = n // 2
+        win.freeze(every, cut, dispatch)
+        assert any(np.any(m.carry_loc < m.rows.size) for m in live)
+        assert all(np.all(np.isfinite(m.prev)) for m in live)
+        assert all(np.any(m.cursor >= 0) for m in live)
+        b0 = int(bar_at[cut])
+        again = kernel._Window(
+            live, lambda: plan, every, cut, n, dispatch, (b0, n_bar),
+            b0 * width,
+        )
+        pre_fin = np.full((n_rows, (n_bar - b0) * width), _NEG_INF)
+        again.serve(every, barrier, pre_fin, True)
+        self._check(again, live, cut, n, dispatch, barrier, True)
+
+    def test_mixed_members_take_the_generic_stack(self):
+        """Members of different models cannot concatenate: the generic
+        stack prices each member's rows with its own plan, and a RAID-5
+        array of HDDs and SSDs replays bit-identically to the event
+        engine."""
+        def mixed():
+            disks = [HardDiskDrive(f"h{i}", _HDD_SPEC) for i in range(2)]
+            disks += [SolidStateDrive(f"s{i}") for i in range(2)]
+            return DiskArray(disks, RaidLevel.RAID5, name="mixed")
+
+        trace = _small_writes(5, 80, 0.002, region=1 << 16)
+        plane = kernel._prepare_plane(trace, mixed())
+        plans = [m.plan for m in plane.members]
+        assert type(type(plans[0]).stack(plans)).__name__ == "_PlanStack"
+        auto = replay_trace(trace, mixed(), 1.0, engine="auto")
+        event = replay_trace(trace, mixed(), 1.0, engine="event")
+        assert auto.metadata["engine"] == "kernel"
+        assert canon(auto, engine_neutral=True) == \
+            canon(event, engine_neutral=True)
 
 
 class TestRmwWindows:
@@ -699,10 +972,14 @@ def _ssd():
     return SolidStateDrive("k-ssd")
 
 
+_HDD_SPEC = dataclasses.replace(
+    SEAGATE_7200_12, capacity_bytes=16 * 1024 * 1024
+)
+
+
 def _raid5():
-    spec = dataclasses.replace(SEAGATE_7200_12, capacity_bytes=16 * 1024 * 1024)
     return DiskArray(
-        [HardDiskDrive(f"k{i}", spec) for i in range(4)],
+        [HardDiskDrive(f"k{i}", _HDD_SPEC) for i in range(4)],
         RaidLevel.RAID5,
         name="k-raid5",
     )
