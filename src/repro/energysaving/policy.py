@@ -50,7 +50,7 @@ import numpy as np
 
 from ..errors import ReplayError
 from ..power.analyzer import PowerAnalyzer
-from ..power.model import EnergyMeter
+from ..power.model import EnergyMeter, PowerTimeline
 
 __all__ = [
     "Policy",
@@ -122,16 +122,15 @@ def _member_spec(member) -> MemberSpec:
     )
 
 
-class PowerProgram:
-    """Piecewise-constant power over ``[0, end]`` with exact integrals.
+class PowerProgram(PowerTimeline):
+    """Piecewise-constant power over ``[0, end]``: a zero-baseline
+    :class:`~repro.power.model.PowerTimeline` adopting segment columns.
 
     Segments must be sorted and non-overlapping; zero- and
     negative-length segments are dropped at construction (mirroring
     ``PowerTimeline.add_segment``).  Uncovered spans draw zero watts,
     so policies must emit explicit idle segments for awake gaps.
     """
-
-    __slots__ = ("starts", "ends", "watts", "_cum")
 
     def __init__(
         self, starts: np.ndarray, ends: np.ndarray, watts: np.ndarray
@@ -142,12 +141,7 @@ class PowerProgram:
         keep = ends > starts
         if not bool(np.all(keep)):
             starts, ends, watts = starts[keep], ends[keep], watts[keep]
-        self.starts = starts
-        self.ends = ends
-        self.watts = watts
-        self._cum = np.concatenate(
-            (np.zeros(1), np.cumsum(watts * (ends - starts)))
-        )
+        super().__init__(0.0, (starts, ends, watts))
 
     @classmethod
     def concat(
@@ -168,30 +162,6 @@ class PowerProgram:
         )
         order = np.argsort(starts, kind="stable")
         return cls(starts[order], ends[order], watts[order])
-
-    def _energy_upto(self, t: float) -> float:
-        idx = int(np.searchsorted(self.starts, t, side="right"))
-        total = float(self._cum[idx])
-        if idx > 0:
-            seg_end = float(self.ends[idx - 1])
-            if seg_end > t:
-                total -= float(self.watts[idx - 1]) * (seg_end - t)
-        return total
-
-    def energy_between(self, t0: float, t1: float) -> float:
-        if t1 == t0:
-            return 0.0
-        return self._energy_upto(t1) - self._energy_upto(t0)
-
-    def watts_at(self, t: float) -> float:
-        idx = int(np.searchsorted(self.starts, t, side="right")) - 1
-        if idx >= 0 and t < float(self.ends[idx]):
-            return float(self.watts[idx])
-        return 0.0
-
-    @property
-    def total_energy(self) -> float:
-        return float(self._cum[-1])
 
 
 @dataclass(frozen=True)
@@ -401,9 +371,9 @@ class AnalyticPolicy:
         build = self._require_build()
         total = self._last_overhead if 0.0 <= t < self._last_end else 0.0
         for member in build.members:
-            total += member.program.watts_at(t)
+            total += member.program.power_at(t)
         for extra in build.extras:
-            total += extra.watts_at(t)
+            total += extra.power_at(t)
         return total
 
     def idle_transitions(self) -> List[Transition]:

@@ -103,10 +103,15 @@ class PowerAnalyzer:
         if self._armed:
             self._schedule_next(now)
 
-    def _record_window(self, t0: float, t1: float) -> None:
+    def _record_window(
+        self, t0: float, t1: float, energy: Optional[float] = None
+    ) -> None:
+        """Record one window; ``energy`` is the source's
+        ``energy_between(t0, t1)``, queried here when None."""
         if t1 <= t0:
             return
-        energy = self.source.energy_between(t0, t1)
+        if energy is None:
+            energy = self.source.energy_between(t0, t1)
         true_watts = energy / (t1 - t0)
         amps, volts = self.sensor.read(true_watts)
         self.samples.append(

@@ -137,18 +137,20 @@ class CaptureSink:
 
 
 def snapshot_members(device) -> Tuple[MemberProfile, ...]:
-    """Copy each member's committed timeline out of ``device``."""
+    """Copy each member's committed timeline out of ``device`` (copies,
+    so later appends to the live columns cannot alias the capture)."""
     disks = getattr(device, "disks", None)
     members = list(disks) if disks is not None else [device]
     profiles = []
     for member in members:
         timeline = member.timeline
+        starts, ends, watts = timeline.segments()
         profiles.append(
             MemberProfile(
                 name=member.name,
-                starts=np.asarray(timeline._starts, dtype=np.float64),
-                ends=np.asarray(timeline._ends, dtype=np.float64),
-                watts=np.asarray(timeline._watts, dtype=np.float64),
+                starts=starts,
+                ends=ends,
+                watts=watts,
                 base_watts=float(timeline._base_watts[0]),
             )
         )

@@ -23,8 +23,8 @@ kernel; the grid only feeds it more rows:
   the solve a single replay runs with one row.  The face is chunked
   over the parameter axis to bound peak memory;
 * instead of committing a row to a live device, each cell is frozen:
-  its member schedules become :class:`_FrozenTimeline` power columns
-  that reproduce :class:`~repro.power.model.PowerTimeline` arithmetic,
+  its member schedules are adopted, as views, by real
+  :class:`~repro.power.model.PowerTimeline` columns (no per-cell copy),
   summed by a real :class:`~repro.power.model.EnergyMeter`, and the
   kernel's one assembler (:func:`~repro.sim.kernel._assemble`) runs the
   real samplers over them — so no per-cell device is ever constructed
@@ -54,17 +54,15 @@ import numpy as np
 from ..config import ReplayConfig
 from ..core.timescale import TimeScaler
 from ..errors import ReplayError
-from ..power.model import EnergyMeter
+from ..power.model import EnergyMeter, PowerTimeline
 from ..storage.array import DiskArray
 from ..storage.base import StorageDevice
 from ..telemetry import get_registry
 from ..trace.packed import PackedTrace
 from .kernel import (
-    _EMPTY,
     _Fallback,
     _assemble,
     _bunch_times,
-    _high_water,
     _prepare_plane,
     _qualify_device,
     _queued,
@@ -75,8 +73,6 @@ from .kernel import (
 #: Default peak-memory budget for the batched solve; the parameter axis
 #: is chunked so one chunk's working set stays under this many bytes.
 DEFAULT_CHUNK_BYTES = 256 * 1024 * 1024
-
-_CUM_SEED = np.zeros(1, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -103,55 +99,6 @@ class CellEval:
     result: Optional[object]
     unfused: Optional[str]
     capture: Optional[object] = None
-
-
-class _FrozenTimeline:
-    """Read-only stand-in for a committed, fresh-baseline ``PowerTimeline``.
-
-    Holds the batch-computed segment columns of one member device for
-    one cell and answers ``energy_between`` with the exact arithmetic
-    :class:`~repro.power.model.PowerTimeline` performs after
-    ``extend_segments``: a single-level baseline integral plus the
-    prefix-sum excess walk (same cumsum seed, same bisect semantics,
-    same tail subtraction) — so every returned float matches the value
-    a per-cell device commit would have produced, without building the
-    device or materialising Python lists.  ``cum`` carries the leading
-    0.0 of the real ``_cum_excess``; a member that served nothing is
-    represented by empty columns (pure baseline, like a fresh
-    timeline).
-    """
-
-    __slots__ = ("starts", "ends", "watts", "cum", "base_watts")
-
-    def __init__(
-        self,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        watts: np.ndarray,
-        cum: np.ndarray,
-        base_watts: float,
-    ) -> None:
-        self.starts = starts
-        self.ends = ends
-        self.watts = watts
-        self.cum = cum
-        self.base_watts = base_watts
-
-    def _excess_upto(self, t: float) -> float:
-        idx = int(np.searchsorted(self.starts, t, side="right"))
-        total = float(self.cum[idx])
-        if idx > 0:
-            end = float(self.ends[idx - 1])
-            if end > t:
-                tail_base = self.base_watts * (end - t)
-                total -= float(self.watts[idx - 1]) * (end - t) - tail_base
-        return total
-
-    def energy_between(self, t0: float, t1: float) -> float:
-        if t1 == t0:
-            return 0.0
-        base = self.base_watts * (t1 - t0)
-        return base + self._excess_upto(t1) - self._excess_upto(t0)
 
 
 def evaluate_grid_cells(
@@ -316,27 +263,19 @@ def _evaluate_group(
                 evals[gi] = CellEval(None, reason)
             continue
 
-        # Freeze each served member's power columns.  The real timeline
-        # drops zero-length segments, which would desynchronise the
-        # frozen columns, so such cells are refused.
+        # Each served member's excess prefix sums for every cell at
+        # once: extend_segments' arithmetic on a fresh timeline.
         cums = []
-        for member, s, bw in zip(plane.members, sol.served, base_watts):
-            if s is None:
-                cums.append(_CUM_SEED)
-                continue
-            dur2d = s.fin - s.starts
-            for i in np.flatnonzero(np.any(dur2d <= 0.0, axis=1)).tolist():
-                if cell_reason[i] is None:
-                    cell_reason[i] = (
-                        f"{member.dev.name}: zero-length power segment"
-                    )
-            excess2d = s.watts * dur2d - bw * dur2d
-            cums.append(
-                np.concatenate(
-                    (np.zeros((n_cells, 1)), np.cumsum(excess2d, axis=1)),
+        for s, bw in zip(sol.served, base_watts):
+            cum = None
+            if s is not None:
+                dur2d = s.fin - s.starts
+                excess2d = s.watts * dur2d - bw * dur2d
+                cum = np.cumsum(
+                    np.concatenate((np.zeros((n_cells, 1)), excess2d), axis=1),
                     axis=1,
                 )
-            )
+            cums.append(cum)
 
         # ---- Per-cell assembly through the real samplers. ----
         for i, gi in enumerate(chunk):
@@ -353,17 +292,13 @@ def _evaluate_group(
                 evals[gi] = CellEval(None, exc.reason)
                 continue
             timelines = [
-                _FrozenTimeline(_EMPTY, _EMPTY, _EMPTY, cum, bw)
-                if s is None
-                else _FrozenTimeline(
-                    s.starts[i], s.fin[i], s.row_watts(i), cum[i], bw
-                )
+                _cell_timeline(s, cum, i, bw)
                 for s, cum, bw in zip(sol.served, cums, base_watts)
             ]
             tele_mark = reg.mark() if reg.enabled else None
             queued = (
                 [
-                    _queued(s.arrivals[i], s.starts[i])
+                    _queued(s, i)
                     for s in sol.served
                     if s is not None
                 ]
@@ -385,19 +320,36 @@ def _evaluate_group(
                 outcome, m, load, 0.0, slog, engine="kernel",
                 tele_mark=tele_mark,
                 usage=(
-                    _cell_usage(plane, sol, i, queued)
+                    _cell_usage(plane, sol, i, queued, timelines)
                     if tele_mark is not None else None
                 ),
             )
             cell_capture = (
-                _cell_capture(plane, sol, i, base_watts, overhead, totals)
+                _cell_capture(plane, sol, i, timelines, overhead, totals)
                 if capture
                 else None
             )
             evals[gi] = CellEval(result, None, cell_capture)
 
 
-def _cell_usage(plane, sol, i: int, queued: list):
+def _cell_timeline(s, cum, i: int, base_watts: float) -> PowerTimeline:
+    """One member's power timeline for cell ``i``: what a per-point
+    replay commits to a factory-fresh device.  The solved row's columns
+    and its row of ``cum`` (the chunk's excess prefix sums) are adopted
+    as views; a row with a zero-length segment is committed
+    through ``extend_segments`` instead, which drops it exactly as the
+    per-point commit does."""
+    if s is None:
+        return PowerTimeline(base_watts)
+    starts, ends, watts = s.starts[i], s.fin[i], s.row_watts(i)
+    if bool(np.all(ends > starts)):
+        return PowerTimeline(base_watts, (starts, ends, watts, cum[i]))
+    timeline = PowerTimeline(base_watts)
+    timeline.extend_segments(starts, ends, watts)
+    return timeline
+
+
+def _cell_usage(plane, sol, i: int, queued: list, timelines: list):
     """One cell's member usage for its telemetry, from its solved rows:
     what a factory-fresh device commits replaying the cell per point
     (:func:`~repro.sim.kernel._commit`)."""
@@ -405,17 +357,16 @@ def _cell_usage(plane, sol, i: int, queued: list):
 
     members = []
     served_queues = iter(queued)
-    for member, s in zip(plane.members, sol.served):
+    end = float(sol.fin[i, -1])
+    for member, s, timeline in zip(plane.members, sol.served, timelines):
         if s is None:
             members.append(MemberUsage(member.dev.name, 0, 0, 0, 0, 0.0))
             continue
-        push, pop = next(served_queues)
+        push, _pop, high = next(served_queues)
         members.append(MemberUsage(
             member.dev.name, int(member.rows.size), int(push.size),
-            int(push.size), _high_water(push, pop),
-            # PowerTimeline.busy_time's overlap clipping is exact
-            # selection here: a cell's segments lie inside [0, end].
-            float(np.sum(s.fin[i] - s.starts[i])),
+            int(push.size), high,
+            timeline.busy_time(0.0, end),
         ))
     array = None
     if plane.array is not None:
@@ -429,7 +380,7 @@ def _cell_capture(
     plane,
     sol,
     i: int,
-    base_watts: List[float],
+    timelines: List[PowerTimeline],
     overhead_watts: Optional[float],
     totals,
 ):
@@ -438,26 +389,17 @@ def _cell_capture(
     Rows are copied out of the chunk arrays so the capture does not pin
     the whole ``(P, k)`` batch in memory.  The values are bit-identical
     to what :class:`~repro.replay.capture.CaptureSink` snapshots after a
-    per-point replay: members commit one segment per served request in
-    member arrival order on every path.
+    per-point replay: the members' timelines are the ones a per-point
+    replay commits, copied out the same way
+    (:func:`~repro.replay.capture.snapshot_members`).
     """
     from ..replay.capture import MemberProfile, ReplayCapture
 
-    profiles = []
-    for member, s, bw in zip(plane.members, sol.served, base_watts):
-        name = member.dev.name
-        if s is None:
-            profiles.append(MemberProfile(name, _EMPTY, _EMPTY, _EMPTY, bw))
-            continue
-        profiles.append(
-            MemberProfile(
-                name=name,
-                starts=np.array(s.starts[i], dtype=np.float64),
-                ends=np.array(s.fin[i], dtype=np.float64),
-                watts=np.array(s.row_watts(i), dtype=np.float64),
-                base_watts=bw,
-            )
-        )
+    profiles = [
+        MemberProfile(member.dev.name, *timeline.segments(),
+                      base_watts=timeline._base_watts[0])
+        for member, timeline in zip(plane.members, timelines)
+    ]
     reads, writes, read_bytes, write_bytes = totals
     return ReplayCapture(
         end=float(sol.fin[i, -1]),

@@ -705,8 +705,9 @@ def _columns(trace: PackedTrace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _check_timeline_clear(dev: QueuedDevice, first_start: float) -> None:
     """The event path appends segments after the timeline's last end;
     a stale timeline would make it raise mid-run — fall back instead."""
-    ends = dev.timeline._ends
-    if ends and first_start < ends[-1] - 1e-12:
+    timeline = dev.timeline
+    n = timeline.segment_count
+    if n and first_start < timeline._ends[n - 1] - 1e-12:
         raise _Fallback(f"{dev.name}: power timeline extends past replay start")
 
 
@@ -1647,6 +1648,9 @@ class _Served:
     watts: np.ndarray  # (k,) shared by every row, or (P, k)
     apply_state: Callable[[], None]  # when P = 1: commit the cursors
     order: Optional[np.ndarray]  # (P, k) local serving order; None: plan order
+    #: (P, k) requests queued though they wait for nothing (see
+    #: :func:`_mark_tie_pushes`); None: there are none.
+    tie_push: Optional[np.ndarray] = None
 
     def row_watts(self, i: int) -> np.ndarray:
         return self.watts if self.watts.ndim == 1 else self.watts[i]
@@ -2099,6 +2103,7 @@ def _solve_plane(
             served.append(
                 _served(m.arrivals, m.fin, svc.watts, svc.apply_state, m.order)
             )
+        _mark_tie_pushes(exp, two.members, served, dispatch, sub_fin, reasons)
     else:
         # Every request arrives at its flight's dispatch, so each member
         # serves in plan order.
@@ -2168,21 +2173,78 @@ def _solve_plane(
     )
 
 
-def _queued(
-    arrivals: np.ndarray, starts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+def _mark_tie_pushes(
+    exp: FlightExpansion,
+    members: list,
+    served: List[Optional[_Served]],
+    dispatch: np.ndarray,
+    sub_fin: np.ndarray,
+    reasons: List[Optional[str]],
+) -> None:
+    """Mark the RMW posts the event engine queues though they wait for
+    nothing.
+
+    A post that arrives at the instant its member's previous request
+    finishes starts then either way, but when its barrier's completion
+    runs first on the calendar the member is still busy: the post is
+    pushed, and popped at once by that finish.  A previous request of
+    the post's own flight is one of its pre reads, whose completion the
+    post's arrival follows: those are never pushed.  Rows whose
+    calendar walk nests too deep are refused in ``reasons``.
+    """
+    pairs = [(m, s) for m, s in zip(members, served) if m is not None]
+    rows = set()
+    for m, s in pairs:
+        # Arriving at the previous finish, a request starts there.
+        r, j = np.nonzero(s.arrivals[:, 1:] == s.fin[:, :-1])
+        loc, prev = m.order[r, j + 1], m.order[r, j]
+        keep = m.is_post[loc] & (m.flight[loc] != m.flight[prev])
+        if keep.any():
+            s.tie_push = np.zeros(s.arrivals.shape, dtype=bool)
+            s.tie_push[r[keep], j[keep] + 1] = True
+            rows.update(r[keep].tolist())
+    tied = [(m, s) for m, s in pairs if s.tie_push is not None]
+    for i in sorted(rows):
+        if reasons[i] is not None:
+            continue
+        try:
+            cal = _Calendar(
+                exp, [(m.rows, m.order, m.arrivals) for m, _ in pairs],
+                dispatch, sub_fin, i,
+            )
+            for m, s in tied:
+                for j in np.flatnonzero(s.tie_push[i]).tolist():
+                    g = int(m.rows[m.order[i, j]])
+                    s.tie_push[i, j] = cal.cause(g) == (cal.prev[g], 0)
+        except _Fallback as exc:
+            reasons[i] = exc.reason
+    for _, s in tied:
+        if not s.tie_push.any():
+            s.tie_push = None
+
+
+def _queued(s: _Served, i: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """One member row's queue-entry and queue-exit instants of the
-    requests that waited."""
-    waited = starts > arrivals
-    return arrivals[waited], starts[waited]
+    requests the event engine queues, and the peak queue length.
 
-
-def _high_water(push: np.ndarray, pop: np.ndarray) -> int:
-    """Peak queue length over one member row's sorted queue instants."""
+    A push counts the pops at or before its instant: a completion pops
+    before a dispatch at one instant adds to the queue — except a tie
+    push's own pop, which follows it (:func:`_mark_tie_pushes`).
+    """
+    arrivals, starts = s.arrivals[i], s.starts[i]
+    pushed = starts > arrivals
+    tie = None
+    if s.tie_push is not None:
+        tie = s.tie_push[i]
+        pushed |= tie
+    push, pop = arrivals[pushed], starts[pushed]
     if not push.size:
-        return 0
+        return push, pop, 0
+    popped = np.searchsorted(pop, push, side="right")
+    if tie is not None:
+        popped -= tie[pushed]
     ranks = np.arange(1, push.size + 1, dtype=np.int64)
-    return int((ranks - np.searchsorted(pop, push, side="right")).max())
+    return push, pop, int((ranks - popped).max())
 
 
 def _commit(plane: _Plane, sol: _Solution, queued: list) -> None:
@@ -2288,10 +2350,16 @@ def _power_windows(
     analyzer: PowerAnalyzer, bounds: List[float], end: float
 ) -> None:
     """Replay the analyzer's sampling windows through its real
-    ``_record_window`` (same sensor-read order, same energy queries)."""
-    ends = bounds[1:] + [end]
-    for a, b in zip(bounds, ends):
-        analyzer._record_window(a, b)
+    ``_record_window``: one batched energy query for every window (the
+    scalar query's bits), then the sensor read window by window, in
+    order."""
+    t0 = np.asarray(bounds, dtype=np.float64)
+    t1 = np.append(t0[1:], end)
+    live = t1 > t0  # the analyzer skips empty windows
+    t0, t1 = t0[live], t1[live]
+    energies = analyzer.source.energies_between(t0, t1).tolist()
+    for a, b, e in zip(t0.tolist(), t1.tolist(), energies):
+        analyzer._record_window(a, b, e)
 
 
 def _frame_series(
@@ -2315,6 +2383,14 @@ def _frame_series(
     byte_prefix = np.concatenate(([0], np.cumsum(nbytes)))
     starts = bounds
     ends = bounds[1:] + [end]
+    energies = (
+        power_source.energies_between(
+            np.asarray(starts, dtype=np.float64),
+            np.asarray(ends, dtype=np.float64),
+        ).tolist()
+        if power_source is not None
+        else [0.0] * len(starts)
+    )
     flightrec = get_flight_recorder()
     frames = []
     for i in range(len(starts)):
@@ -2330,9 +2406,6 @@ def _frame_series(
             )
         else:
             counts = np.zeros(barr.size + 1, dtype=np.int64)
-        energy = (
-            power_source.energy_between(s, e) if power_source is not None else 0.0
-        )
         depth = int(
             np.searchsorted(push, e, side="right")
             - np.searchsorted(pop, e, side="right")
@@ -2344,7 +2417,7 @@ def _frame_series(
             completed=int(cnt),
             total_bytes=int(byte_prefix[b] - byte_prefix[a]),
             response_sum=float(sum(resp_list[a:b])),
-            energy_joules=float(energy),
+            energy_joules=float(energies[i]),
             queue_depth=depth,
             latency_buckets=buckets,
             latency_counts=tuple(int(x) for x in counts),
@@ -2463,8 +2536,7 @@ def try_kernel_replay(
                 queued.append(None)
                 continue
             _check_timeline_clear(member.dev, float(s.starts[0, 0]))
-            push, pop = _queued(s.arrivals[0], s.starts[0])
-            queued.append((push, pop, _high_water(push, pop)))
+            queued.append(_queued(s, 0))
         bounds, frame_bounds = _sampling_bounds(
             t0, float(sol.fin[0, -1]), sampling_cycle, stream_interval
         )

@@ -345,6 +345,9 @@ class QueuedDevice(StorageDevice):
     def energy_between(self, t0: float, t1: float) -> float:
         return self.timeline.energy_between(t0, t1)
 
+    def energies_between(self, t0, t1):
+        return self.timeline.energies_between(t0, t1)
+
     def utilisation(self, t0: float, t1: float) -> float:
         """Fraction of [t0, t1] spent serving requests."""
         if t1 <= t0:

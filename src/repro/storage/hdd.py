@@ -65,7 +65,10 @@ class HardDiskDrive(QueuedDevice):
         super().__init__(name, idle_watts=spec.idle_watts, discipline=discipline)
         self.spec = spec
         self.rotational_jitter = rotational_jitter
-        self._rng = make_rng(seed)
+        # The jitter stream is built on its first draw: most drives never
+        # jitter, and make_rng is deterministic per seed.
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
         self._head_sector = 0
         self._last_end_sector: Optional[int] = None
         self._last_op: Optional[int] = None
@@ -88,6 +91,8 @@ class HardDiskDrive(QueuedDevice):
 
     def _rotational_latency(self) -> float:
         if self.rotational_jitter:
+            if self._rng is None:
+                self._rng = make_rng(self._seed)
             return float(self._rng.uniform(0.0, self.spec.rotation_time))
         return self.spec.mean_rotational_latency
 

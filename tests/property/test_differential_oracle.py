@@ -471,7 +471,9 @@ def _assert_ssd_cell_matches_event(trace, load):
         assert frames_to_jsonl(
             cell.result.metadata["interval_frames"]
         ) == frames
-    # Telemetry changes neither the engine nor the result.
+    # Telemetry changes neither the engine nor the result, and the
+    # kernel reports what the event engine reports, queue counts at
+    # ties included, alone and as a grid cell.
     from repro.telemetry import enabled_telemetry
 
     with enabled_telemetry():
@@ -480,6 +482,27 @@ def _assert_ssd_cell_matches_event(trace, load):
         )
     assert traced.metadata["engine"] == alone.metadata["engine"]
     assert canon_result(traced) == expect
+    _assert_telemetry_matches_event(trace, load, **kwargs)
+
+
+def _assert_telemetry_matches_event(trace, load, **kwargs):
+    from repro.telemetry import enabled_telemetry
+    from repro.workload.parallel import run_grid
+
+    with enabled_telemetry():
+        event = replay_trace(
+            trace, _ssd_raid5(), load, engine="event", **kwargs
+        )
+    with enabled_telemetry():
+        alone = replay_trace(trace, _ssd_raid5(), load, engine="auto", **kwargs)
+    with enabled_telemetry():
+        [cell] = run_grid(
+            {"t": trace}, {"d": _ssd_raid5}, loads=(load,), engine="auto",
+            parallel=False, **kwargs,
+        ).cells
+    expect = telemetry_view(event.metadata["telemetry"])
+    assert telemetry_view(alone.metadata["telemetry"]) == expect
+    assert telemetry_view(cell.result.metadata["telemetry"]) == expect
 
 
 @given(ssd_tie_traces(), st.sampled_from([0.5, 0.8, 1.0]))

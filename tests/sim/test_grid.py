@@ -310,6 +310,43 @@ class TestGridVsPerPointKernel:
                 serial.metadata["interval_frames"], cell.key
             assert canon(cell.result) == canon(serial), cell.key
 
+    @pytest.mark.parametrize("factory", [_ssd, _raid5])
+    def test_zero_length_power_segment_fuses(self, factory):
+        """A request served at 1e14 s takes no time at float resolution,
+        so it commits a zero-length power segment, which the timeline
+        drops.  The cell commits it the same way and fuses, bit-identical
+        to the per-point replay (and its capture to the per-point
+        capture)."""
+        from repro.replay.capture import CaptureSink
+        from repro.sim.grid import GridCell, evaluate_grid_cells
+        from repro.trace.packed import PACKED_PACKAGE_DTYPE, PackedTrace
+
+        packages = np.zeros(3, dtype=PACKED_PACKAGE_DTYPE)
+        packages["sector"] = [0, 8, 16]
+        packages["nbytes"] = 4096
+        packages["op"] = READ
+        trace = PackedTrace(
+            np.array([0.0, 1e14, 1e14 + 5e7]), np.array([0, 1, 2, 3]),
+            packages, label="far",
+        )
+        config = ReplayConfig(sampling_cycle=1e13)
+        [cell] = evaluate_grid_cells(
+            trace, factory(), [GridCell(1.0, 1.0)], config=config,
+            capture=True,
+        )
+        assert cell.unfused is None
+        sink = CaptureSink()
+        serial = replay_trace(
+            trace, factory(), 1.0, config=config, engine="kernel",
+            capture=sink,
+        )
+        assert canon(cell.result) == canon(serial)
+        for got, want in zip(cell.capture.members, sink.capture.members):
+            assert got.starts.tolist() == want.starts.tolist()
+            assert got.ends.tolist() == want.ends.tolist()
+        # The two far requests left no power segment.
+        assert sum(m.starts.size for m in sink.capture.members) == 1
+
 
 def _event_oracle_cases():
     """Every device x trace, batch and streaming; the batch IDs are the

@@ -535,6 +535,38 @@ class TestCalendarTies:
             result.metadata.pop("telemetry", None)
         assert canon(plain) == canon(traced)
 
+    def test_tied_post_arrival_is_queued_as_on_the_event_engine(self):
+        """A post write arriving at the instant its member's previous
+        request finishes waits for nothing, but when its barrier's
+        completion runs first the event engine pushes it (and pops it at
+        once).  The kernel counts that push too: alone and as a grid
+        cell, every non-``sim.*`` instrument equals the event engine's."""
+        from repro.config import WorkloadMode
+        from repro.telemetry import enabled_telemetry
+        from repro.workload.matrix import collect_trace
+        from tests.telemetry_view import telemetry_view
+
+        trace = pack(collect_trace(
+            _ssd_raid5x4, WorkloadMode(4096, 0.5, 0.5), 0.25, seed=11
+        ))
+        views = []
+        with enabled_telemetry():
+            event = replay_trace(trace, _ssd_raid5x4(), 1.0, engine="event")
+        with enabled_telemetry():
+            alone = replay_trace(trace, _ssd_raid5x4(), 1.0, engine="auto")
+        with enabled_telemetry():
+            [cell] = run_grid(
+                {"t": trace}, {"d": _ssd_raid5x4}, loads=(1.0,),
+                engine="auto", parallel=False,
+            ).cells
+        assert alone.metadata["engine"] == cell.engine == "kernel"
+        for result in (event, alone, cell.result):
+            views.append(telemetry_view(result.metadata["telemetry"]))
+        pushed = "queue.pushed_total{device=ssd-raid5-d0}"
+        assert views[0]["gauges"][pushed] == 169
+        assert views[1] == views[0]
+        assert views[2] == views[0]
+
 
 # ---------------------------------------------------------------------------
 # RAID-5 read-modify-write fixpoint in sliding windows
@@ -1097,11 +1129,7 @@ def _queued_state(dev):
         "high_water": dev.queued_high_water,
         "pushed": dev._queue.pushed_total,
         "popped": dev._queue.popped_total,
-        "timeline": (
-            list(dev.timeline._starts),
-            list(dev.timeline._ends),
-            list(dev.timeline._watts),
-        ),
+        "timeline": tuple(col.tolist() for col in dev.timeline.segments()),
     }
     if isinstance(dev, HardDiskDrive):
         state["cursors"] = (

@@ -205,3 +205,41 @@ class TestJitterMode:
 
         assert run(3) == run(3)
         assert run(3) != run(4)
+
+    def test_jitter_stream_is_the_seeded_generator(self):
+        """The generator is built on the first jittered draw, and it is
+        the stream ``make_rng(seed)`` builds: the drive replays exactly
+        as one whose generator was built up front."""
+        from repro.rng import make_rng
+
+        def run(eager):
+            sim = Simulator()
+            d = HardDiskDrive("dj", rotational_jitter=True, seed=5)
+            if eager:
+                d._rng = make_rng(5)
+            d.attach(sim)
+            serve(sim, d, [IOPackage(i * 10**5, 4096, READ) for i in range(10)])
+            return [col.tolist() for col in d.timeline.segments()]
+
+        assert run(eager=False) == run(eager=True)
+
+    def test_plain_drive_builds_no_generator(self, monkeypatch):
+        import repro.storage.hdd as hdd
+
+        built = []
+
+        def counting(seed=None):
+            built.append(seed)
+            return make_rng(seed)
+
+        make_rng = hdd.make_rng
+        monkeypatch.setattr(hdd, "make_rng", counting)
+        sim = Simulator()
+        d = HardDiskDrive("d", seed=5)
+        d.attach(sim)
+        serve(sim, d, [IOPackage(i * 10**5, 4096, READ) for i in range(10)])
+        assert built == [] and d._rng is None
+        jittered = HardDiskDrive("dj", rotational_jitter=True, seed=5)
+        jittered.attach(sim)
+        serve(sim, jittered, [IOPackage(0, 4096, READ)] * 2)
+        assert built == [5]
