@@ -110,8 +110,13 @@ class PackedTrace:
         offsets[1:] = np.cumsum([len(b.packages) for b in bunches])
         pkgs = [pkg for bunch in bunches for pkg in bunch.packages]
         packages = np.empty(len(pkgs), dtype=PACKED_PACKAGE_DTYPE)
-        packages["sector"] = [pkg.sector for pkg in pkgs]
-        packages["nbytes"] = [pkg.nbytes for pkg in pkgs]
+        try:
+            packages["sector"] = [pkg.sector for pkg in pkgs]
+            packages["nbytes"] = [pkg.nbytes for pkg in pkgs]
+        except OverflowError as exc:
+            raise TraceValidationError(
+                "sector and nbytes must be < 2**63 to be packed"
+            ) from exc
         packages["op"] = [pkg.op for pkg in pkgs]
         return cls(timestamps, offsets, packages, label=trace.label, validate=False)
 

@@ -10,23 +10,20 @@ materialising any per-package objects.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterator, Union
 
-import numpy as np
-
-from ..errors import TraceFormatError, TraceValidationError
-from ..units import NS_PER_S
+from ..errors import TraceFormatError
 from .blktrace import (
-    MAGIC,
-    VERSION,
     _BUNCH_HEADER,
     _HEADER,
-    _PACKAGE_DTYPE,
+    _PACKAGE_SIZE,
+    _parse_header,
     _parse_packed_body,
 )
 from .packed import PackedTrace
-from .record import Bunch, IOPackage
+from .record import Bunch
 
 PathLike = Union[str, Path]
 
@@ -55,15 +52,8 @@ class TraceReader:
         self.path = Path(path)
         self._fh = open(self.path, "rb")
         try:
-            raw = self._fh.read(_HEADER.size)
-            if len(raw) < _HEADER.size:
-                raise TraceFormatError("truncated trace header", offset=0)
-            magic, version, _flags, bunch_count = _HEADER.unpack(raw)
-            if magic != MAGIC:
-                raise TraceFormatError(f"bad magic {magic!r}", offset=0)
-            if version != VERSION:
-                raise TraceFormatError(f"unsupported trace version {version}")
-            self.bunch_count = bunch_count
+            self.bunch_count = _parse_header(self._fh.read(_HEADER.size))
+            self._size = os.fstat(self._fh.fileno()).st_size
         except Exception:
             self._fh.close()
             raise
@@ -106,29 +96,17 @@ class TraceReader:
                 f"boundary {self._offset}; stream was moved externally",
                 offset=offset,
             )
+        # One bunch goes through the same decoder as a whole file, so
+        # streaming gives the same verdicts.  A count past the end of the
+        # file reads only what is there.
         raw = self._fh.read(_BUNCH_HEADER.size)
-        if len(raw) < _BUNCH_HEADER.size:
-            raise TraceFormatError("truncated bunch header", offset=offset)
-        ts_ns, npackages = _BUNCH_HEADER.unpack(raw)
-        if npackages == 0:
-            raise TraceFormatError("bunch with zero packages", offset=offset)
-        nbytes = npackages * _PACKAGE_DTYPE.itemsize
-        raw = self._fh.read(nbytes)
-        if len(raw) < nbytes:
-            raise TraceFormatError("truncated package array", offset=offset)
-        arr = np.frombuffer(raw, dtype=_PACKAGE_DTYPE)
-        try:
-            packages = [
-                IOPackage(int(s), int(n), int(o))
-                for s, n, o in zip(arr["sector"], arr["nbytes"], arr["op"])
-            ]
-            bunch = Bunch(ts_ns / NS_PER_S, packages)
-        except TraceValidationError as exc:
-            raise TraceFormatError(
-                f"invalid package fields: {exc}", offset=offset
-            ) from exc
+        if len(raw) == _BUNCH_HEADER.size:
+            npackages = _BUNCH_HEADER.unpack(raw)[1]
+            left = self._size - offset - len(raw)
+            raw += self._fh.read(min(npackages * _PACKAGE_SIZE, left))
+        bunch = _parse_packed_body(raw, 1, offset).bunch(0)
         self._read += 1
-        self._offset = offset + _BUNCH_HEADER.size + nbytes
+        self._offset = offset + len(raw)
         return bunch
 
     def read_packed(self) -> PackedTrace:
@@ -146,7 +124,7 @@ class TraceReader:
             )
         self._iterating = True
         body = self._fh.read()
-        packed = _parse_packed_body(body, self.bunch_count, base_offset=0)
+        packed = _parse_packed_body(body, self.bunch_count, self._offset)
         packed.label = self.path.stem
         self._read = self.bunch_count
         self._offset += len(body)

@@ -11,12 +11,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from ..errors import TraceValidationError
-from ..units import NS_PER_S
-from .blktrace import MAGIC, VERSION, _BUNCH_HEADER, _HEADER, _PACKAGE_DTYPE
-from .record import Bunch
+from .blktrace import MAGIC, VERSION, _HEADER, _encode_body
+from .packed import PackedTrace
+from .record import Bunch, Trace
 
 PathLike = Union[str, Path]
 
@@ -59,14 +57,8 @@ class TraceWriter:
                 f"bunch timestamp {bunch.timestamp} precedes previous "
                 f"{self._last_ts}; traces must be time-ordered"
             )
+        self._fh.write(_encode_body(PackedTrace.from_trace(Trace([bunch]))))
         self._last_ts = bunch.timestamp
-        ts_ns = round(bunch.timestamp * NS_PER_S)
-        self._fh.write(_BUNCH_HEADER.pack(ts_ns, len(bunch)))
-        arr = np.zeros(len(bunch), dtype=_PACKAGE_DTYPE)
-        arr["sector"] = [p.sector for p in bunch.packages]
-        arr["nbytes"] = [p.nbytes for p in bunch.packages]
-        arr["op"] = [p.op for p in bunch.packages]
-        self._fh.write(arr.tobytes())
         self._count += 1
 
     def close(self, abort: bool = False) -> None:
