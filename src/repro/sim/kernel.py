@@ -941,8 +941,7 @@ class _TwoPhase:
     its solved schedule, ready to commit (a placeholder on ``costly``
     rows).  ``sub_fin`` is ``(P, total)`` finishes by global sub-I/O.
     ``passes`` and ``windows`` count each row's fixpoint passes and the
-    windows they ran in.  ``rank`` is the post tie order the solve
-    ended with (None: flight order throughout).
+    windows they ran in.
     """
 
     members: List[Optional[_RmwMember]]
@@ -951,7 +950,6 @@ class _TwoPhase:
     sub_fin: np.ndarray
     passes: np.ndarray  # (P,)
     windows: np.ndarray  # (P,)
-    rank: Optional[np.ndarray] = None  # (P, barriers)
 
 
 class _Window:
@@ -1280,7 +1278,6 @@ def _solve_two_phase(
     rows: List[np.ndarray],
     plans: List[Optional[ServicePlan]],
     dispatch: np.ndarray,
-    rank: Optional[np.ndarray] = None,
 ) -> _TwoPhase:
     """Solve the per-flight two-phase (RMW) barrier exactly, in sliding
     windows of flights.
@@ -1370,18 +1367,19 @@ def _solve_two_phase(
     whose window is stationary rests until the window ends, and a row
     is done once a window ending at the trace end is stationary for it.
 
-    ``rank`` ``(P, barriers)``, when given, orders two flights' posts
-    that reach one member at one instant (two barriers releasing
-    together); flight order otherwise.  The event calendar breaks that
-    tie by schedule sequence numbers, which depend on the schedule
-    before the tie — frozen by the time the tie is.  So each window
-    checks the ties it froze (:func:`_window_tie_order`); a row whose
-    ties went against calendar order gets that order in ``rank``, and
-    the solve goes back to the last window start before the earliest
-    such tie and serves it again, keeping the barrier iterate (final
-    below the tie).  The caller still checks the whole schedule
-    (:func:`_rmw_calendar_solve`).  ``tied`` flags the rows where such a
-    tie occurred.
+    Two flights' posts that reach one member at one instant (two
+    barriers releasing together) go in flight order until a window
+    shows otherwise.  The event calendar breaks that tie by schedule
+    sequence numbers, which depend on the schedule before the tie —
+    frozen by the time the tie is.  So each window checks the ties it
+    froze (:func:`_window_tie_order`); a row whose ties went against
+    calendar order gets that order in a per-row ``rank`` ``(P,
+    barriers)``, and the solve goes back to the last window start
+    before the earliest such tie and serves it again, keeping the
+    barrier iterate (final below the tie).  ``tied`` flags the rows
+    where such a tie occurred; the caller checks their final schedule
+    once (:func:`_solve_plane`) and refuses a row whose ties the
+    windows missed.
     """
     n_rows, n = dispatch.shape
     has_pre = exp.pre_counts > 0
@@ -1407,6 +1405,7 @@ def _solve_two_phase(
     todo = np.arange(n_rows)
     lo, hi = 0, n
     first = None
+    rank = None  # (P, barriers) post tie order; None: flight order
     # Each window's start: (lo, hi, todo, every member's mark), so a
     # window that froze a post tie against calendar order can be served
     # again (:func:`_window_tie_order`); at most one rewind per barrier.
@@ -1531,7 +1530,7 @@ def _solve_two_phase(
         sub_fin[every, m.rows[o]] = m.fin
         if m.rows.size >= 2:
             tied |= np.any(_post_ties(m, o, a), axis=1)
-    return _TwoPhase(members, costly, tied, sub_fin, passes, windows, rank)
+    return _TwoPhase(members, costly, tied, sub_fin, passes, windows)
 
 
 def _post_ties(m: _RmwMember, o: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -1648,8 +1647,8 @@ class _Served:
     watts: np.ndarray  # (k,) shared by every row, or (P, k)
     apply_state: Callable[[], None]  # when P = 1: commit the cursors
     order: Optional[np.ndarray]  # (P, k) local serving order; None: plan order
-    #: (P, k) requests queued though they wait for nothing (see
-    #: :func:`_mark_tie_pushes`); None: there are none.
+    #: (P, k) posts pushed before the member's completion at their
+    #: arrival instant pops (see :func:`_mark_tie_pushes`); None: none.
     tie_push: Optional[np.ndarray] = None
 
     def row_watts(self, i: int) -> np.ndarray:
@@ -1877,20 +1876,6 @@ def _post_tie_groups(
     return groups, wrong
 
 
-def _rank_in_calendar_order(
-    cal: _Calendar, groups: dict, wrong: set, rank: Optional[np.ndarray],
-    i: int, bar_at: np.ndarray, n_rows: int,
-) -> np.ndarray:
-    """``rank`` (flight order if None) with row ``i``'s ``wrong`` tie
-    groups sorted into calendar order."""
-    if rank is None:
-        rank = np.tile(np.arange(bar_at[-1]), (n_rows, 1))
-    for t in wrong:
-        cols = bar_at[_calendar_sorted(cal, groups[t], cal.barrier)]
-        rank[i, cols] = np.sort(rank[i, cols])
-    return rank
-
-
 def _window_tie_order(
     exp: FlightExpansion,
     live: List[_RmwMember],
@@ -1909,9 +1894,10 @@ def _window_tie_order(
     before it, all of them frozen, so the frozen part of a row is enough
     to answer it.  Returns ``rank`` — with every group of flights whose
     tied posts went against calendar order sorted into it (created on
-    first need) — and, for each row that changed, the first flight
-    dispatched at or after its earliest such tie.  A row whose walk
-    nests too deep is left to the check after the solve.
+    first need; None: flight order) — and, for each row that changed,
+    the first flight dispatched at or after its earliest such tie.  A
+    row whose walk nests too deep keeps its order here; the walk over
+    its final schedule (:func:`_solve_plane`) refuses it.
     """
     seen: dict = {}  # row -> [(member, begin, end)]: new posts that tie
     for m, st in zip(live, marked):
@@ -1946,9 +1932,11 @@ def _window_tie_order(
             groups, wrong = _post_tie_groups(cal, got, i)
             if not wrong:
                 continue
-            rank = _rank_in_calendar_order(
-                cal, groups, wrong, rank, i, bar_at, dispatch.shape[0]
-            )
+            if rank is None:
+                rank = np.tile(np.arange(bar_at[-1]), (dispatch.shape[0], 1))
+            for t in wrong:
+                cols = bar_at[_calendar_sorted(cal, groups[t], cal.barrier)]
+                rank[i, cols] = np.sort(rank[i, cols])
         except _Fallback:
             continue
         back[i] = int(np.searchsorted(dispatch[i], min(wrong)))
@@ -1977,70 +1965,6 @@ def _order_tied_completions(
     return int(long.size)
 
 
-def _rmw_calendar_solve(
-    plane: _Plane, dispatch: np.ndarray, reasons: list, ties: np.ndarray
-) -> _TwoPhase:
-    """The RMW fixpoint with post ties in calendar order.
-
-    The solve orders two flights' equal post arrivals at one member by
-    ``rank`` — flight order until shown otherwise — and already puts
-    the ties each window froze in calendar order (see
-    :func:`_solve_two_phase`).  A solved row whose tied posts still went
-    against the calendar order of its own schedule (a window's walk
-    nested too deep, or its rewinds ran out) gets that order as its
-    rank and is solved again.  A schedule is exact once they agree: each
-    tie's calendar order depends only on what ran before it, which the
-    agreeing order served exactly.  Each re-solve settles at least the
-    earliest disagreeing tie, so the loop ends.
-    Rows whose calendar walk nests too deep are refused in ``reasons``;
-    ``ties`` counts each row's post tie groups.
-    """
-    exp = plane.exp
-    rows = [m.rows for m in plane.members]
-    plans = [m.plan for m in plane.members]
-    two = _solve_two_phase(exp, rows, plans, dispatch)
-    bar_at = np.zeros(exp.pre_counts.size + 1, dtype=np.int64)
-    np.cumsum(exp.pre_counts > 0, out=bar_at[1:])
-    spans = [(m, 0, m.rows.size) for m in two.members if m is not None]
-    rank = two.rank
-    while True:
-        redo = []
-        for i in np.flatnonzero(two.tied & ~two.costly).tolist():
-            if reasons[i] is not None:
-                continue
-            try:
-                cal = _Calendar(
-                    exp,
-                    [(m.rows, m.order, m.arrivals)
-                     for m in two.members if m is not None],
-                    dispatch, two.sub_fin, i,
-                )
-                groups, wrong = _post_tie_groups(cal, spans, i)
-                if not wrong:
-                    ties[i] += len(groups)
-                    continue
-                rank = _rank_in_calendar_order(
-                    cal, groups, wrong, rank, i, bar_at, len(reasons)
-                )
-            except _Fallback as exc:
-                reasons[i] = exc.reason
-                continue
-            redo.append(i)
-        if not redo:
-            return two
-        again = _solve_two_phase(exp, rows, plans, dispatch[redo], rank[redo])
-        for m, r in zip(two.members, again.members):
-            if m is not None:
-                m.order[redo], m.arrivals[redo], m.fin[redo] = (
-                    r.order, r.arrivals, r.fin
-                )
-        for name in ("costly", "tied", "sub_fin"):
-            getattr(two, name)[redo] = getattr(again, name)
-        rank[redo] = again.rank
-        two.passes[redo] += again.passes
-        two.windows[redo] += again.windows
-
-
 def _solve_plane(
     plane: _Plane, submit: np.ndarray, keep_record: bool = False
 ) -> Tuple[List[Optional[str]], Optional[_Solution]]:
@@ -2051,14 +1975,17 @@ def _solve_plane(
     member's FCFS queue (the Lindley solver, or the RMW barrier fixpoint
     :func:`_solve_two_phase`), and reduces sub-I/O finishes to flight
     completions.  Returns one refusal reason per row (None where the row
-    solved) and the solution, None when every row is refused.  A row
-    keeps its first refusal in this order: a calendar walk that nests
-    too deep while ordering tied RMW posts, an RMW fixpoint that would
-    cost more than an event replay (it has no pass cap; see
-    :func:`_solve_two_phase`), non-monotone member schedules in disk
-    order, a calendar walk that nests too deep while ordering tied
-    flight completions.  Ties themselves are never refused: tied posts
-    and tied completions go in event-calendar order (:class:`_Calendar`).
+    solved) and the solution, None when every row is refused.  Each row
+    with ties gets one calendar walk (:class:`_Calendar`) over its final
+    schedule: it checks the post ties the RMW windows put in calendar
+    order, marks the tie pushes (:func:`_mark_tie_pushes`) and puts tied
+    flight completions in calendar order.  A row keeps its first refusal
+    in this order: an RMW fixpoint that would cost more than an event
+    replay (it has no pass cap; see :func:`_solve_two_phase`),
+    non-monotone member schedules in disk order, then its calendar walk
+    — one that nests too deep, or tied RMW posts that the windows left
+    against calendar order (a window's walk nested too deep, or the
+    solve's rewinds ran out).  Ties themselves are never refused.
     ``keep_record`` keeps the rows' completion records (for a capture
     or telemetry).
     """
@@ -2086,11 +2013,15 @@ def _solve_plane(
         )
         link_end = link[:, -1]
     served: List[Optional[_Served]] = []
-    rmw = None
+    rmw = two = None
+    walk = np.zeros(n_rows, dtype=bool)  # rows the calendar walk settles
     if exp is not None and exp.has_pre:
         # RAID-5 read-modify-write: post writes barrier on their pre
         # reads, so each row serves in its own converged order.
-        two = _rmw_calendar_solve(plane, dispatch, reasons, ties)
+        two = _solve_two_phase(
+            exp, [m.rows for m in plane.members],
+            [m.plan for m in plane.members], dispatch,
+        )
         rmw = (two.passes, two.windows)
         if refuse(two.costly, "rmw fixpoint costs more than an event replay"):
             return reasons, None
@@ -2103,7 +2034,9 @@ def _solve_plane(
             served.append(
                 _served(m.arrivals, m.fin, svc.watts, svc.apply_state, m.order)
             )
-        _mark_tie_pushes(exp, two.members, served, dispatch, sub_fin, reasons)
+        spans = [(m, 0, m.rows.size) for m in two.members if m is not None]
+        walk |= two.tied
+        _mark_tie_pushes(two.members, served)
     else:
         # Every request arrives at its flight's dispatch, so each member
         # serves in plan order.
@@ -2143,23 +2076,41 @@ def _solve_plane(
     fl_fin = np.maximum.reduceat(sub_fin, exp.flight_offsets[:-1], axis=1)
     comp_order = np.argsort(fl_fin, axis=1, kind="stable")
     fin = _take_rows(fl_fin, comp_order)
-    tied = np.any(fin[:, 1:] == fin[:, :-1], axis=1)
-    for i in np.flatnonzero(tied).tolist():
+    walk |= np.any(fin[:, 1:] == fin[:, :-1], axis=1)
+    # One calendar walk per row with ties, over its final schedule.
+    schedules, pushes = [], []
+    for member, s in zip(plane.members, served):
+        if s is not None:
+            schedules.append((member.rows, s.order, s.arrivals))
+            if s.tie_push is not None:
+                pushes.append((member.rows, s))
+                walk |= s.tie_push.any(axis=1)
+    for i in np.flatnonzero(walk).tolist():
         if reasons[i] is not None:
             continue
         try:
-            cal = _Calendar(
-                exp,
-                [
-                    (member.rows, s.order, s.arrivals)
-                    for member, s in zip(plane.members, served)
-                    if s is not None
-                ],
-                dispatch, sub_fin, i,
+            cal = _Calendar(exp, schedules, dispatch, sub_fin, i)
+            groups = 0
+            if two is not None and two.tied[i]:
+                found, wrong = _post_tie_groups(cal, spans, i)
+                if wrong:
+                    raise _Fallback("rmw post ties against calendar order")
+                groups = len(found)
+            for rows, s in pushes:
+                for j in np.flatnonzero(s.tie_push[i]).tolist():
+                    q = np.searchsorted(s.fin[i], s.arrivals[i, j])
+                    g, h = rows[s.order[i, [j, q]]].tolist()
+                    s.tie_push[i, j] = cal.before(
+                        cal.barrier(cal.flight[g]), h
+                    )
+            ties[i] = groups + _order_tied_completions(
+                cal, comp_order[i], fin[i]
             )
-            ties[i] += _order_tied_completions(cal, comp_order[i], fin[i])
         except _Fallback as exc:
             reasons[i] = exc.reason
+    for _, s in pushes:
+        if not s.tie_push.any():
+            s.tie_push = None
     if None not in reasons:
         return reasons, None
     return reasons, _Solution(
@@ -2174,53 +2125,33 @@ def _solve_plane(
 
 
 def _mark_tie_pushes(
-    exp: FlightExpansion,
-    members: list,
-    served: List[Optional[_Served]],
-    dispatch: np.ndarray,
-    sub_fin: np.ndarray,
-    reasons: List[Optional[str]],
+    members: list, served: List[Optional[_Served]]
 ) -> None:
-    """Mark the RMW posts the event engine queues though they wait for
-    nothing.
+    """Mark the RMW posts that arrive at the instant their member
+    completes another flight's request.
 
-    A post that arrives at the instant its member's previous request
-    finishes starts then either way, but when its barrier's completion
-    runs first on the calendar the member is still busy: the post is
-    pushed, and popped at once by that finish.  A previous request of
-    the post's own flight is one of its pre reads, whose completion the
-    post's arrival follows: those are never pushed.  Rows whose
-    calendar walk nests too deep are refused in ``reasons``.
+    Both are completions at one instant, so the calendar decides which
+    runs first.  When the post's barrier runs first the member is still
+    busy: the post is pushed before that completion pops the next queued
+    request — the post itself when it starts at that instant either way
+    (it waits for nothing, but is pushed and popped at once).  The
+    calendar walk (:func:`_solve_plane`) keeps the marks where the
+    barrier runs first.  A completion of the post's own flight is one of
+    its pre reads, which its arrival follows: those are never marked.
     """
-    pairs = [(m, s) for m, s in zip(members, served) if m is not None]
-    rows = set()
-    for m, s in pairs:
-        # Arriving at the previous finish, a request starts there.
-        r, j = np.nonzero(s.arrivals[:, 1:] == s.fin[:, :-1])
-        loc, prev = m.order[r, j + 1], m.order[r, j]
-        keep = m.is_post[loc] & (m.flight[loc] != m.flight[prev])
-        if keep.any():
-            s.tie_push = np.zeros(s.arrivals.shape, dtype=bool)
-            s.tie_push[r[keep], j[keep] + 1] = True
-            rows.update(r[keep].tolist())
-    tied = [(m, s) for m, s in pairs if s.tie_push is not None]
-    for i in sorted(rows):
-        if reasons[i] is not None:
+    for m, s in zip(members, served):
+        if m is None:
             continue
-        try:
-            cal = _Calendar(
-                exp, [(m.rows, m.order, m.arrivals) for m, _ in pairs],
-                dispatch, sub_fin, i,
-            )
-            for m, s in tied:
-                for j in np.flatnonzero(s.tie_push[i]).tolist():
-                    g = int(m.rows[m.order[i, j]])
-                    s.tie_push[i, j] = cal.cause(g) == (cal.prev[g], 0)
-        except _Fallback as exc:
-            reasons[i] = exc.reason
-    for _, s in tied:
-        if not s.tie_push.any():
-            s.tie_push = None
+        for i, (o, a, f) in enumerate(zip(m.order, s.arrivals, s.fin)):
+            j = np.flatnonzero(m.is_post[o])
+            # The member's completion at or after each post's arrival
+            # (never past the post's own finish).
+            q = np.searchsorted(f, a[j])
+            keep = (f[q] == a[j]) & (m.flight[o[j]] != m.flight[o[q]])
+            if keep.any():
+                if s.tie_push is None:
+                    s.tie_push = np.zeros(s.arrivals.shape, dtype=bool)
+                s.tie_push[i, j[keep]] = True
 
 
 def _queued(s: _Served, i: int) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -2228,8 +2159,9 @@ def _queued(s: _Served, i: int) -> Tuple[np.ndarray, np.ndarray, int]:
     requests the event engine queues, and the peak queue length.
 
     A push counts the pops at or before its instant: a completion pops
-    before a dispatch at one instant adds to the queue — except a tie
-    push's own pop, which follows it (:func:`_mark_tie_pushes`).
+    before a dispatch at one instant adds to the queue — except where a
+    post's push runs before its member's completion at that instant
+    (:func:`_mark_tie_pushes`).
     """
     arrivals, starts = s.arrivals[i], s.starts[i]
     pushed = starts > arrivals

@@ -20,7 +20,9 @@ approximately equal.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -425,8 +427,40 @@ def _record(capture):
 #: a reason to leave the kernel.
 _COST_REFUSAL = "rmw fixpoint costs more than an event replay"
 
+#: The refusal of a row whose tied posts the RMW windows left against
+#: calendar order: exact (the event engine replays the row), but it
+#: means the windows missed a tie.
+_TIE_REFUSAL = "rmw post ties against calendar order"
+
+
+@contextmanager
+def _solve_refusals():
+    """Every refusal ``_solve_plane`` gives inside the block, for a
+    replay alone, a grid cell or a cell replayed per point."""
+    from repro.sim import grid, kernel
+
+    refused = []
+    solve = kernel._solve_plane
+
+    def spy(*args, **kwargs):
+        reasons, sol = solve(*args, **kwargs)
+        refused.extend(r for r in reasons if r is not None)
+        return reasons, sol
+
+    with mock.patch.object(kernel, "_solve_plane", spy), \
+            mock.patch.object(grid, "_solve_plane", spy):
+        yield refused
+
 
 def _assert_ssd_cell_matches_event(trace, load):
+    """Alone and as a grid cell, an SSD RAID-5 replay equals the event
+    engine's, and the windows put every tied post in calendar order."""
+    with _solve_refusals() as refused:
+        _assert_ssd_replays_match_event(trace, load)
+    assert _TIE_REFUSAL not in refused
+
+
+def _assert_ssd_replays_match_event(trace, load):
     from repro.config import ReplayConfig
     from repro.telemetry.stream import frames_to_jsonl
     from repro.workload.parallel import run_grid

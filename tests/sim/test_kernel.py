@@ -451,12 +451,27 @@ class TestCalendarTies:
     meets exact ties; the kernel orders them as the event calendar
     does (``_Calendar``) instead of refusing them."""
 
-    def test_tied_flight_completions_match_event(self):
-        """The plain (read-only) path: flight completions tie."""
-        trace = _paper_sweep_trace(_SSD_READS[0], _ssd_raid5x4, _SSD_READS[1])
-        _, ties = _tie_counted(trace, _ssd_raid5x4, 0.7)
-        assert ties > 0
-        _assert_matches_event(trace, _ssd_raid5x4, 0.7)
+    @pytest.mark.parametrize(
+        "draw, mode, load, groups",
+        [
+            pytest.param(*trace, load, n, id=f"{name}-{load}")
+            for name, trace, counts in (
+                ("reads", _SSD_READS, (0, 0, 38, 0)),
+                ("mixed", _SSD_MIXED, (1, 1, 7, 5)),
+            )
+            for load, n in zip((0.3, 0.5, 0.7, 1.0), counts)
+        ],
+    )
+    def test_tied_flight_completions_match_event(
+        self, draw, mode, load, groups
+    ):
+        """Flight completions tie on the plain (read-only) path, and
+        posts and completions on the RMW path; one calendar walk per
+        row counts each tie group once."""
+        trace = _paper_sweep_trace(draw, _ssd_raid5x4, mode)
+        _, ties = _tie_counted(trace, _ssd_raid5x4, load)
+        assert ties == groups
+        _assert_matches_event(trace, _ssd_raid5x4, load)
 
     def test_completion_order_is_the_calendars(self, monkeypatch):
         """Here flight (stable) order is not the calendar's: without
@@ -470,20 +485,19 @@ class TestCalendarTies:
         event = replay_trace(trace, _ssd_raid5x4(), 0.5, engine="event")
         assert canon(stable, True) != canon(event, True)
 
-    def test_post_ties_against_flight_order_are_solved_again(
-        self, monkeypatch
-    ):
+    def test_post_ties_the_windows_miss_are_refused(self, monkeypatch):
         """A window that froze tied posts against calendar order is
         served again from an earlier window start, inside the one
-        solve; the check after the solve re-solves what it misses."""
+        solve.  The walk over the final schedule refuses a row whose
+        ties the windows missed, and the event engine replays it."""
         trace = _paper_sweep_trace(_SSD_MIXED[0], _ssd_raid5x4, _SSD_MIXED[1])
-        ranks, backs = [], []
+        solves, backs = [], []
         solve = kernel._solve_two_phase
         window_order = kernel._window_tie_order
 
-        def spy(exp, rows, plans, dispatch, rank=None):
-            ranks.append(rank)
-            return solve(exp, rows, plans, dispatch, rank)
+        def spy(*args):
+            solves.append(args)
+            return solve(*args)
 
         def spy_order(*args):
             got = window_order(*args)
@@ -493,16 +507,20 @@ class TestCalendarTies:
         monkeypatch.setattr(kernel, "_solve_two_phase", spy)
         monkeypatch.setattr(kernel, "_window_tie_order", spy_order)
         _assert_matches_event(trace, _ssd_raid5x4, 0.7)
-        assert ranks == [None] and any(backs)
-        # Without the window check the solve ends in flight order, and
-        # the check after it solves the row again.
-        ranks.clear()
+        assert len(solves) == 1 and any(backs)
+        # Without the window check the solve ends in flight order.
         monkeypatch.setattr(
             kernel, "_window_tie_order", lambda *args: (args[6], {})
         )
-        _assert_matches_event(trace, _ssd_raid5x4, 0.7)
-        assert ranks[0] is None and ranks[1] is not None
-        # Solved once, in flight order, the row would be wrong.
+        auto = replay_trace(trace, _ssd_raid5x4(), 0.7, engine="auto")
+        event = replay_trace(trace, _ssd_raid5x4(), 0.7, engine="event")
+        assert auto.metadata["engine"] == "event"
+        assert (
+            auto.metadata["engine_fallback"]
+            == "rmw post ties against calendar order"
+        )
+        assert canon(auto, True) == canon(event, True)
+        # Solved in flight order and not checked, the row would be wrong.
         monkeypatch.setattr(
             kernel, "_post_tie_groups", lambda *args: ({}, set())
         )
@@ -511,10 +529,19 @@ class TestCalendarTies:
         event = _capture_run(trace, _ssd_raid5x4, 0.7, config, "event")
         assert once[1] != event[1]
 
-    def test_deep_tie_chain_is_refused(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "draw, mode, load",
+        [pytest.param(*_SSD_READS, 0.7, id="reads-0.7")] + [
+            pytest.param(*_SSD_MIXED, load, id=f"mixed-{load}")
+            for load in (0.5, 0.7, 1.0)
+        ],
+    )
+    def test_deep_tie_chain_is_refused(self, monkeypatch, draw, mode, load):
+        """Any walk — over tied completions, tied posts or tie pushes —
+        that nests too deep refuses the row."""
         monkeypatch.setattr(kernel, "_MAX_TIE_DEPTH", 0)
-        trace = _paper_sweep_trace(_SSD_READS[0], _ssd_raid5x4, _SSD_READS[1])
-        result = replay_trace(trace, _ssd_raid5x4(), 0.7, engine="auto")
+        trace = _paper_sweep_trace(draw, _ssd_raid5x4, mode)
+        result = replay_trace(trace, _ssd_raid5x4(), load, engine="auto")
         assert result.metadata["engine"] == "event"
         assert (
             result.metadata["engine_fallback"]
@@ -541,31 +568,49 @@ class TestCalendarTies:
         completion runs first the event engine pushes it (and pops it at
         once).  The kernel counts that push too: alone and as a grid
         cell, every non-``sim.*`` instrument equals the event engine's."""
-        from repro.config import WorkloadMode
-        from repro.telemetry import enabled_telemetry
-        from repro.workload.matrix import collect_trace
-        from tests.telemetry_view import telemetry_view
-
-        trace = pack(collect_trace(
-            _ssd_raid5x4, WorkloadMode(4096, 0.5, 0.5), 0.25, seed=11
-        ))
-        views = []
-        with enabled_telemetry():
-            event = replay_trace(trace, _ssd_raid5x4(), 1.0, engine="event")
-        with enabled_telemetry():
-            alone = replay_trace(trace, _ssd_raid5x4(), 1.0, engine="auto")
-        with enabled_telemetry():
-            [cell] = run_grid(
-                {"t": trace}, {"d": _ssd_raid5x4}, loads=(1.0,),
-                engine="auto", parallel=False,
-            ).cells
-        assert alone.metadata["engine"] == cell.engine == "kernel"
-        for result in (event, alone, cell.result):
-            views.append(telemetry_view(result.metadata["telemetry"]))
+        views = _queue_views(11, 0.25, 1.0)
         pushed = "queue.pushed_total{device=ssd-raid5-d0}"
         assert views[0]["gauges"][pushed] == 169
-        assert views[1] == views[0]
-        assert views[2] == views[0]
+
+    def test_push_before_a_tied_pop_counts_in_the_high_water(self):
+        """A post that arrives at the instant its member completes an
+        earlier request, its barrier first on the calendar, is queued
+        before that completion pops the next request: the queue is one
+        longer then, and the kernel's high-water mark counts it."""
+        views = _queue_views(308, 0.05, 0.7)
+        high = "queue.high_water{device=ssd-raid5-d2}"
+        assert views[0]["gauges"][high] == 4
+
+
+def _queue_views(seed, duration, load):
+    """Telemetry views of a collected SSD RAID-5 mixed trace replayed on
+    the event engine, alone and as a grid cell; the last two run on the
+    kernel and equal the first."""
+    from repro.config import WorkloadMode
+    from repro.telemetry import enabled_telemetry
+    from repro.workload.matrix import collect_trace
+    from tests.telemetry_view import telemetry_view
+
+    trace = pack(collect_trace(
+        _ssd_raid5x4, WorkloadMode(4096, 0.5, 0.5), duration, seed=seed
+    ))
+    with enabled_telemetry():
+        event = replay_trace(trace, _ssd_raid5x4(), load, engine="event")
+    with enabled_telemetry():
+        alone = replay_trace(trace, _ssd_raid5x4(), load, engine="auto")
+    with enabled_telemetry():
+        [cell] = run_grid(
+            {"t": trace}, {"d": _ssd_raid5x4}, loads=(load,),
+            engine="auto", parallel=False,
+        ).cells
+    assert alone.metadata["engine"] == cell.engine == "kernel"
+    views = [
+        telemetry_view(r.metadata["telemetry"])
+        for r in (event, alone, cell.result)
+    ]
+    assert views[1] == views[0]
+    assert views[2] == views[0]
+    return views
 
 
 # ---------------------------------------------------------------------------
